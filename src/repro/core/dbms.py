@@ -158,8 +158,9 @@ class XmlDbms:
             stats = load_document(self.db, name, xml=xml, path=path,
                                   strip_whitespace=strip_whitespace,
                                   bulk=bulk)
-            self.db.checkpoint()
+            # Bumped right behind the completeness marker, for ``engine``.
             self._invalidate(name)
+            self.db.checkpoint()
             return stats
 
     @staticmethod
@@ -320,10 +321,9 @@ class XmlDbms:
                     txn.on_publish(
                         lambda: self._bump_version_unlocked(document))
             except BaseException:
-                # The transaction rolled back; cached engines hold
-                # node caches that saw aborted frames (already
-                # pruned by evict callbacks), but drop them anyway
-                # so nothing keeps the poisoned tree instances.
+                # The transaction rolled back (its frames took their
+                # decoded nodes along); cached engines go too, as their
+                # tree instances' meta fields may describe aborted state.
                 self._invalidate(document)
                 raise
             self._prune_engines(document)
@@ -507,16 +507,19 @@ class XmlDbms:
             engine = self._engines.get(key)
             if engine is not None:
                 return engine
+        live = self._versions.get(document, 0)
         try:
             # Built outside both locks: construction reads the catalog
             # and may take a while, and must not stall other documents.
             engine = XQEngine(self.db, document, profile)
+            if self._versions.get(document, 0) != live:
+                raise CatalogError("catalog changed while opening")
         except CatalogError:
-            # Possibly the mid-replacement window (old objects dropped,
-            # new ones not yet complete — the statistics entry, written
-            # last, is the completeness marker).  Retry serialized
-            # against load/drop; a genuinely missing document raises
-            # CatalogError again, now authoritatively.
+            # The mid-replacement window (old objects dropped, new ones
+            # not yet complete — the statistics entry, written last, is
+            # the completeness marker), or trees opened on either side
+            # of a version bump.  Retry serialized against load/drop; a
+            # genuinely missing document raises CatalogError again.
             with self._lock:
                 engine = XQEngine(self.db, document, profile)
         with self._engine_lock:

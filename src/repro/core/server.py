@@ -174,8 +174,8 @@ class ServerStats:
     count, ``snapshot_reads`` the page reads served from the version
     store, ``versions_retained`` the superseded page images currently
     kept alive for pinned snapshots, ``group_commits``/``group_fsyncs``
-    the commits acknowledged vs. the fsyncs actually issued, and
-    ``fsyncs_saved`` their difference — the batching win.
+    the commits acknowledged vs. the fsyncs actually issued,
+    ``fsyncs_saved`` their difference, ``decodes`` the pool's decode count.
     """
 
     workers: int
@@ -196,6 +196,7 @@ class ServerStats:
     group_commits: int = 0
     group_fsyncs: int = 0
     fsyncs_saved: int = 0
+    decodes: int = 0
 
 
 @dataclass
@@ -792,6 +793,7 @@ class QueryServer:
                 "buffer_misses": stats.misses,
                 "buffer_evictions": stats.evictions,
                 "buffer_dirty_writebacks": stats.dirty_writebacks,
+                "buffer_decodes_total": stats.decodes,
                 "buffer_hit_rate": round(stats.hit_rate, 6)}
 
     def stats(self) -> ServerStats:
@@ -817,7 +819,8 @@ class QueryServer:
                                versions_retained=mvcc["versions_retained"],
                                group_commits=mvcc["group_commits"],
                                group_fsyncs=mvcc["group_fsyncs"],
-                               fsyncs_saved=mvcc["fsyncs_saved"])
+                               fsyncs_saved=mvcc["fsyncs_saved"],
+                               decodes=self.dbms.buffer_stats.decodes)
 
     # -- lifecycle -----------------------------------------------------------
 

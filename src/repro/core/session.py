@@ -172,6 +172,11 @@ class _PlanCache:
 
     def put(self, key: tuple, compiled: CompiledQuery) -> None:
         with self._lock:
+            # Generations before the previous one are dead (keep-two, as
+            # ``_prune_engines``); left in the LRU they evict live plans.
+            for stale in [old for old in self._entries if old[:2] == key[:2]
+                          and old[3] < key[3] - 1]:
+                del self._entries[stale]
             self._entries[key] = compiled
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:

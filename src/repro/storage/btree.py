@@ -18,9 +18,9 @@ Properties:
 * every page access goes through the buffer pool, so index I/O is counted
   by the same meter the cost model estimates against.
 
-A small node cache avoids re-deserialising hot pages; it is invalidated by
-buffer-pool evictions, so it never holds state for a page that is not
-resident.
+Decoded nodes are immutable and owned by the pool *frame* of the live
+page they mirror: shared by every tree instance, gone with the frame.
+Writers edit a private copy and publish it with the write.
 
 Tree identity: a B+-tree is named by its **meta page** id.  The meta page
 stores the root page id, height and entry count, so structural changes
@@ -35,10 +35,10 @@ release it when exhausted or closed.  Structural modification
 observe a half-applied split.  Underneath, node reads and writes take
 the buffer pool's per-page latch while (de)serialising, so concurrent
 trees sharing one pool cannot interleave byte-level access to a page.
-Instances do not share their node cache: concurrent *writers through
-different instances of the same tree* are unsupported (the catalog, the
-one mutated tree, is a single shared instance guarded by the database
-lock).
+Instances share decoded nodes but not their meta fields or latch:
+concurrent *writers through different instances of the same tree* are
+unsupported (the catalog, the one mutated tree, is a single shared
+instance guarded by the database lock).
 """
 
 from __future__ import annotations
@@ -63,18 +63,34 @@ _INTERNAL = 0
 
 
 class _Node:
-    """Deserialized node. ``page_id`` ties it back to its buffer page."""
+    """Deserialized node. ``page_id`` ties it back to its buffer page.
+
+    Nodes read from the pool are shared and frozen (tuple fields); a
+    writer changes a private :meth:`editable` copy (list fields), which
+    ``_write_node`` freezes and publishes.
+    """
 
     __slots__ = ("page_id", "is_leaf", "keys", "values", "children",
                  "next_leaf")
 
-    def __init__(self, page_id: int, is_leaf: bool):
+    def __init__(self, page_id: int, is_leaf: bool, keys=(), values=(),
+                 children=(), next_leaf: int = 0):
         self.page_id = page_id
         self.is_leaf = is_leaf
-        self.keys: list[bytes] = []
-        self.values: list[bytes] = []      # leaf only
-        self.children: list[int] = []      # internal only
-        self.next_leaf = 0                 # leaf only
+        self.keys: list[bytes] = list(keys)
+        self.values: list[bytes] = list(values)      # leaf only
+        self.children: list[int] = list(children)    # internal only
+        self.next_leaf = next_leaf                   # leaf only
+
+    def editable(self) -> "_Node":
+        return _Node(self.page_id, self.is_leaf, self.keys, self.values,
+                     self.children, self.next_leaf)
+
+    def freeze(self) -> "_Node":
+        self.keys = tuple(self.keys)
+        self.values = tuple(self.values)
+        self.children = tuple(self.children)
+        return self
 
     # -- size accounting -----------------------------------------------------
 
@@ -147,7 +163,7 @@ class _Node:
                 offset += _LEN.size
                 node.keys.append(bytes(page[offset:offset + klen]))
                 offset += klen
-        return node
+        return node.freeze()
 
 
 class BTree:
@@ -160,13 +176,7 @@ class BTree:
     def __init__(self, buffer_pool: BufferPool, meta_page_id: int):
         self.buffer_pool = buffer_pool
         self.meta_page_id = meta_page_id
-        # Node-cache entries are only ever replaced wholesale (single
-        # dict get/set/pop bytecodes, atomic under the GIL); structural
-        # consistency across *multiple* nodes is what the tree latch
-        # provides.
-        self._cache: dict[int, _Node] = {}
         self._latch = SharedLatch()
-        buffer_pool.on_evict(self._cache_invalidate)
         self._load_meta()
 
     # -- lifecycle -------------------------------------------------------------
@@ -175,8 +185,7 @@ class BTree:
     def create(cls, buffer_pool: BufferPool) -> "BTree":
         """Allocate an empty tree (meta page + one empty leaf)."""
         root_id, root_page = buffer_pool.new_page()
-        root = _Node(root_id, is_leaf=True)
-        root.serialize_into(root_page)
+        _Node(root_id, is_leaf=True).serialize_into(root_page)
         buffer_pool.unpin(root_id, dirty=True)
 
         meta_id, meta_page = buffer_pool.new_page()
@@ -184,13 +193,10 @@ class BTree:
         buffer_pool.unpin(meta_id, dirty=True)
         return cls(buffer_pool, meta_id)
 
-    def _cache_invalidate(self, page_id: int) -> None:
-        self._cache.pop(page_id, None)
-
     # -- meta page ---------------------------------------------------------------
 
     def _load_meta(self) -> None:
-        with self.buffer_pool.pinned(self.meta_page_id) as page:
+        with self.buffer_pool.latched(self.meta_page_id) as page:
             magic, root, height, count = _META.unpack_from(page, 0)
         if magic != _META_MAGIC:
             raise BTreeError(f"page {self.meta_page_id} is not a B+-tree "
@@ -209,41 +215,27 @@ class BTree:
 
     def _read_node(self, page_id: int) -> _Node:
         pool = self.buffer_pool
-        # Version-aware bypass: a thread bound to a snapshot that sees a
-        # superseded image of this page must neither trust nor populate
-        # the node cache (which always mirrors the *live* page).  The
-        # check is a fast no-op for unbound threads.  Entries are only
-        # cached while the page reads live — a commit cannot have
-        # superseded it for this snapshot in between, because the pinned
-        # snapshot keeps any such version entry alive and the re-check
-        # after decoding would see it.
-        if not pool.reads_versioned(page_id):
-            node = self._cache.get(page_id)
-            if node is not None:
-                # Logical access still goes through the pool for
-                # accounting.
-                pool.get_page(page_id, pin=False)
-                return node
-        with pool.latched(page_id) as page:
-            node = _Node.deserialize(page_id, page)
-        if not pool.reads_versioned(page_id):
-            self._cache[page_id] = node
+        node = pool.decoded(page_id)
+        if node is None:
+            # Publish under the shared latch; snapshot copies are ignored.
+            with pool.latched(page_id) as page:
+                node = _Node.deserialize(page_id, page)
+                pool.publish_decoded(page_id, page, node)
         return node
 
     def _write_node(self, node: _Node) -> None:
-        with self.buffer_pool.latched(node.page_id,
-                                      exclusive=True) as page:
+        pool = self.buffer_pool
+        with pool.latched(node.page_id, exclusive=True) as page:
             if node.serialized_size() > len(page):
                 raise BTreeError("node exceeds page capacity after write")
             node.serialize_into(page)
-        self._cache[node.page_id] = node
+        # Dirtying cleared the frame's decoded slot on the way out.
+        pool.publish_decoded(node.page_id, page, node.freeze(), fresh=False)
 
-    def _new_node(self, is_leaf: bool) -> _Node:
+    def _new_node(self, is_leaf: bool, **fields) -> _Node:
         page_id, page = self.buffer_pool.new_page()
         self.buffer_pool.unpin(page_id, dirty=True)
-        node = _Node(page_id, is_leaf)
-        self._cache[page_id] = node
-        return node
+        return _Node(page_id, is_leaf, **fields)
 
     def _max_node_size(self) -> int:
         return self.buffer_pool.pager.page_size
@@ -346,9 +338,9 @@ class BTree:
                                       replace)
             if split is not None:
                 separator, right_id = split
-                new_root = self._new_node(is_leaf=False)
-                new_root.keys = [separator]
-                new_root.children = [self.root_page_id, right_id]
+                new_root = self._new_node(
+                    False, keys=[separator],
+                    children=[self.root_page_id, right_id])
                 self._write_node(new_root)
                 self.root_page_id = new_root.page_id
                 self.height += 1
@@ -362,9 +354,11 @@ class BTree:
             if index < len(node.keys) and node.keys[index] == key:
                 if not replace:
                     raise BTreeError(f"duplicate key {key!r}")
+                node = node.editable()
                 node.values[index] = value
                 self._write_node(node)
                 return None
+            node = node.editable()
             node.keys.insert(index, key)
             node.values.insert(index, value)
             self.entry_count += 1
@@ -377,6 +371,7 @@ class BTree:
         if split is None:
             return None
         separator, right_id = split
+        node = node.editable()
         node.keys.insert(index, separator)
         node.children.insert(index + 1, right_id)
         if node.serialized_size() <= self._max_node_size():
@@ -385,26 +380,22 @@ class BTree:
         return self._split_internal(node)
 
     def _split_leaf(self, node: _Node) -> tuple[bytes, int]:
-        right = self._new_node(is_leaf=True)
         middle = self._split_point(node)
-        right.keys = node.keys[middle:]
-        right.values = node.values[middle:]
-        node.keys = node.keys[:middle]
-        node.values = node.values[:middle]
-        right.next_leaf = node.next_leaf
+        right = self._new_node(True, keys=node.keys[middle:],
+                               values=node.values[middle:],
+                               next_leaf=node.next_leaf)
+        del node.keys[middle:], node.values[middle:]
         node.next_leaf = right.page_id
         self._write_node(node)
         self._write_node(right)
         return right.keys[0], right.page_id
 
     def _split_internal(self, node: _Node) -> tuple[bytes, int]:
-        right = self._new_node(is_leaf=False)
         middle = self._split_point(node)
         separator = node.keys[middle]
-        right.keys = node.keys[middle + 1:]
-        right.children = node.children[middle + 1:]
-        node.keys = node.keys[:middle]
-        node.children = node.children[:middle + 1]
+        right = self._new_node(False, keys=node.keys[middle + 1:],
+                               children=node.children[middle + 1:])
+        del node.keys[middle:], node.children[middle + 1:]
         self._write_node(node)
         self._write_node(right)
         return separator, right.page_id
@@ -444,6 +435,7 @@ class BTree:
                 if missing_ok:
                     return False
                 raise BTreeError(f"delete of missing key {key!r}")
+            leaf = leaf.editable()
             del leaf.keys[index]
             del leaf.values[index]
             self.entry_count -= 1
@@ -484,7 +476,6 @@ class BTree:
                     stack.extend(node.children)
             pages.append(self.meta_page_id)
             for page_id in pages:
-                self._cache.pop(page_id, None)
                 self.buffer_pool.free_page(page_id)
 
     # -- bulk loading -------------------------------------------------------------
@@ -506,8 +497,8 @@ class BTree:
         capacity = int(self._max_node_size() * fill_factor)
 
         leaves: list[tuple[bytes, int]] = []  # (first key, page id)
-        current = self._read_node(self.root_page_id)  # reuse initial leaf
-        current.keys, current.values = [], []
+        current = self._read_node(self.root_page_id).editable()
+        current.keys, current.values = [], []    # reuse the initial leaf
         count = 0
         previous_key: bytes | None = None
         previous_leaf: _Node | None = None
@@ -544,8 +535,7 @@ class BTree:
             next_level: list[tuple[bytes, int]] = []
             index = 0
             while index < len(level):
-                node = self._new_node(is_leaf=False)
-                node.children.append(level[index][1])
+                node = self._new_node(False, children=[level[index][1]])
                 first_key = level[index][0]
                 index += 1
                 while index < len(level):

@@ -40,7 +40,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import BufferPoolError
 from repro.storage.latch import SharedLatch
@@ -55,6 +55,8 @@ class BufferStats:
     misses: int = 0
     evictions: int = 0
     dirty_writebacks: int = 0
+    #: Live pages decoded into a B+-tree node (once per residency).
+    decodes: int = 0
 
     @property
     def accesses(self) -> int:
@@ -65,8 +67,7 @@ class BufferStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
     def snapshot(self) -> "BufferStats":
-        return BufferStats(self.hits, self.misses, self.evictions,
-                           self.dirty_writebacks)
+        return replace(self)
 
 
 @dataclass
@@ -84,6 +85,10 @@ class _Frame:
     #: which is safe because a page can only be evicted at pin count 0 —
     #: latch holders are always pinned.
     latch: SharedLatch = field(default_factory=SharedLatch)
+    #: ``data`` decoded (an immutable B+-tree node shared by every tree
+    #: instance): cleared on every dirtying event, gone with the frame.
+    # guarded by: self._lock (the owning pool's mutex)
+    decoded: object | None = None
 
 
 class Snapshot:
@@ -113,9 +118,9 @@ class Snapshot:
 class BufferPool:
     """LRU buffer pool over a :class:`~repro.storage.pager.Pager`.
 
-    ``capacity`` is the number of frames.  ``on_evict`` callbacks let
-    higher layers (the B+-tree node cache) invalidate derived state when a
-    page leaves memory.
+    ``capacity`` is the number of frames.  A frame also owns the decoded
+    form of its page (:meth:`decoded` / :meth:`publish_decoded`), so
+    derived state leaves memory with the page.
 
     The pool is thread-safe.  A single pool mutex guards the frame table,
     the LRU order, the version store and the counters; it is held only
@@ -136,8 +141,6 @@ class BufferPool:
         self.stats = BufferStats()
         # guarded by: self._lock
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
-        # guarded by: self._lock
-        self._evict_callbacks: list[Callable[[int], None]] = []
         self._lock = threading.RLock()
         #: Pages dirtied by the active write transaction (None = no
         #: transaction).  While tracking, dirty frames are pinned in
@@ -200,14 +203,6 @@ class BufferPool:
         self.versions_installed = 0
         # guarded by: self._lock
         self.versioned_reads = 0
-
-    # -- configuration -----------------------------------------------------
-
-    def on_evict(self, callback: Callable[[int], None]) -> None:
-        """Register ``callback(page_id)`` to run whenever a page is evicted
-        or flushed out of the pool."""
-        with self._lock:
-            self._evict_callbacks.append(callback)
 
     @property
     def memory_bytes(self) -> int:
@@ -282,25 +277,37 @@ class BufferPool:
         finally:
             self._local.snapshot = previous
 
-    @property
-    def bound_snapshot(self) -> Snapshot | None:
-        """The snapshot bound to the calling thread, if any."""
-        return getattr(self._local, "snapshot", None)
-
-    def min_pinned_snapshot(self) -> int | None:
-        with self._lock:
-            return min(self._snapshots) if self._snapshots else None
-
-    def reads_versioned(self, page_id: int) -> bool:
-        """Does the calling thread's bound snapshot see a non-live image
-        of this page?  (Fast ``False`` when no snapshot is bound.)"""
+    def decoded(self, page_id: int) -> object | None:
+        """The live page's decoded form (a logical access); ``None`` when
+        not resident, not decoded, or not what the bound snapshot reads.
+        Version resolution and lookup are one critical section, so no
+        bound reader gets a node published after the pre-image capture."""
         snapshot = getattr(self._local, "snapshot", None)
-        if snapshot is None:
-            return False
         with self._lock:
-            if page_id in snapshot._pages:
-                return True
-            return self._version_image_locked(page_id, snapshot.lsn) is not None
+            frame = self._frames.get(page_id)
+            if frame is None or frame.decoded is None or (
+                    snapshot is not None and (
+                        page_id in snapshot._pages
+                        or self._version_image_locked(
+                            page_id, snapshot.lsn) is not None)):
+                return None
+            self.stats.hits += 1
+            self._frames.move_to_end(page_id)
+            return frame.decoded
+
+    def publish_decoded(self, page_id: int, page: bytearray, node: object,
+                        fresh: bool = True) -> None:
+        """Attach ``node``, never mutated again, to the frame it mirrors:
+        ``page`` is the buffer it was decoded from (call inside the
+        :meth:`latched` block) or serialized into (``fresh=False``, after
+        the exclusive block); any buffer but the live frame's own — a
+        snapshot's private copy, a frame since evicted — is ignored."""
+        with self._lock:
+            frame = self._frames.get(page_id)
+            if frame is not None and frame.data is page:
+                frame.decoded = node
+                if fresh:
+                    self.stats.decodes += 1
 
     def _version_image_locked(self, page_id: int, lsn: int) -> bytes | None:
         """The image a snapshot at ``lsn`` must read, or None for live."""
@@ -384,6 +391,7 @@ class BufferPool:
             if dirty:
                 frame.dirty = True
                 frame.mod_count += 1
+                frame.decoded = None
                 if self._tracking_here_locked():
                     # Pages first dirtied through this path are expected
                     # to be transaction-born (heap appends, overflow
@@ -461,6 +469,7 @@ class BufferPool:
                     # unpin(dirty=True) at exit would be too late, the
                     # latch is released first.
                     with self._lock:
+                        frame.decoded = None
                         if self._tracking_here_locked():
                             self._capture_preimage_locked(page_id, frame)
                             self._tracked.add(page_id)
@@ -477,6 +486,7 @@ class BufferPool:
                                       f"{page_id}")
             frame.dirty = True
             frame.mod_count += 1
+            frame.decoded = None
             if self._tracking_here_locked():
                 self._capture_preimage_locked(page_id, frame)
                 self._tracked.add(page_id)
@@ -513,15 +523,12 @@ class BufferPool:
                 # Checked before touching the table: a refused free must
                 # leave the pin holder's frame (and latch) fully intact.
                 raise BufferPoolError(f"freeing pinned page {page_id}")
+            self._frames.pop(page_id, None)
             if self._tracking_here_locked():
                 self._capture_preimage_locked(page_id, frame)
-                self._frames.pop(page_id, None)
-                self._notify_evict_locked(page_id)
                 self._tracked.discard(page_id)
                 self._deferred_frees.append(page_id)
                 return
-            self._frames.pop(page_id, None)
-            self._notify_evict_locked(page_id)
             self._held.pop(page_id, None)
             if self._snapshots:
                 # Non-transactional free with live snapshots: any of
@@ -587,11 +594,6 @@ class BufferPool:
             self.pager.write_page(page_id, bytes(frame.data))
             self.stats.dirty_writebacks += 1
         self.stats.evictions += 1
-        self._notify_evict_locked(page_id)
-
-    def _notify_evict_locked(self, page_id: int) -> None:
-        for callback in self._evict_callbacks:
-            callback(page_id)
 
     def flush(self) -> None:
         """Write back every dirty frame (pages stay resident).
@@ -620,8 +622,6 @@ class BufferPool:
                     "flush_and_clear with commits awaiting their group "
                     "fsync; drain the committer first")
             self.flush()
-            for page_id in list(self._frames):
-                self._notify_evict_locked(page_id)
             self._frames.clear()
 
     # -- write transactions ------------------------------------------------------
@@ -740,9 +740,8 @@ class BufferPool:
         No-steal guarantees none of them reached disk, so restoring the
         captured pre-images (or dropping transaction-born frames) brings
         back the pre-transaction state; deferred frees are forgotten (the
-        pages were only *going* to be freed).  Callers must treat every
-        in-memory structure over the dropped pages (B+-tree caches, meta
-        fields) as stale — evict callbacks fire for each one.
+        pages were only *going* to be freed).  Decoded nodes go with the
+        frames; tree instances' meta fields over them are still stale.
         """
         with self._lock:
             if self._tracked is None:
@@ -770,9 +769,9 @@ class BufferPool:
                     # that committed image, so restore the bytes instead.
                     frame.data[:] = image
                     frame.mod_count += 1
+                    frame.decoded = None
                 else:
                     self._frames.pop(page_id, None)
-                self._notify_evict_locked(page_id)
 
     @property
     def in_transaction(self) -> bool:

@@ -160,9 +160,9 @@ class Database:
         frames stay held back from the file until the group committer's
         batched fsync covers the commit.  If the block raises, every
         dirtied frame is discarded and the on-disk state is untouched —
-        but in-memory structures built over those pages (open B+-tree
-        instances, cached nodes) are stale and must be re-opened; the
-        catalog itself is refreshed here.
+        but the meta fields of open B+-tree instances over those pages
+        are stale and the instances must be re-opened (decoded nodes go
+        with the frames); the catalog itself is refreshed here.
 
         Yields a :class:`Transaction` handle.  With ``wait=True`` (the
         default) the block does not return until the commit is durable —

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import tempfile
 import threading
 import time
@@ -33,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dbms import XmlDbms
+from repro.storage.btree import BTree
 from repro.storage.db import Database
 from repro.updates.memory import apply_to_dom
 from repro.xmlkit.parser import parse as parse_document
@@ -467,3 +469,139 @@ class TestGroupCommit:
             text = dbms.session().query("log", "/log")
             assert "<a>1</a>" in text and "<b>2</b>" in text
         dbms.close()
+
+
+# ---------------------------------------------------------------------------
+# shared decoded nodes: a bound reader never picks up a writer's node
+# ---------------------------------------------------------------------------
+
+class TestDecodedNodesRespectSnapshots:
+    def test_bound_reader_ignores_node_published_before_commit(
+            self, tmp_path):
+        """Decoded nodes are shared pool-wide, so a writer's freshly
+        published node is one lookup away from every reader.  Step a
+        writer through capture → publish → commit while a reader stays
+        bound to the snapshot pinned before it."""
+        db = Database(str(tmp_path / "decoded.db"), buffer_capacity=16)
+        pool = db.buffer_pool
+        with db.transaction():
+            tree = BTree.create(pool)
+            tree.insert(b"k", b"old")
+        leaf_id = tree.root_page_id
+
+        published, commit, done = (threading.Event(), threading.Event(),
+                                   threading.Event())
+        errors: list[BaseException] = []
+
+        def writer() -> None:
+            try:
+                with db.transaction():
+                    # A different instance over the same meta page.
+                    BTree(pool, tree.meta_page_id).insert(
+                        b"k", b"new", replace=True)
+                    published.set()
+                    assert commit.wait(JOIN_TIMEOUT)
+            except BaseException as error:  # noqa: BLE001 - reported
+                errors.append(error)
+            finally:
+                published.set()
+                done.set()
+
+        snapshot = pool.pin_snapshot()
+        try:
+            with pool.reading(snapshot):
+                assert tree.search(b"k") == b"old"
+                shared = pool.decoded(leaf_id)
+                assert shared is not None       # the reader published it
+                worker = threading.Thread(target=writer, daemon=True)
+                worker.start()
+                assert published.wait(JOIN_TIMEOUT) and not errors
+                # Pre-image captured, modified node published, not yet
+                # committed: the live slot holds the writer's node ...
+                with pool.unbound():
+                    live = pool.decoded(leaf_id)
+                assert live is not None and live is not shared
+                assert list(live.values) == [b"new"]
+                # ... which the bound reader must not be handed.
+                assert pool.decoded(leaf_id) is None
+                assert tree.search(b"k") == b"old"
+                commit.set()
+                assert done.wait(JOIN_TIMEOUT) and not errors
+                worker.join(timeout=JOIN_TIMEOUT)
+                assert not worker.is_alive()
+                # Committed above the pin: still the snapshot's value.
+                assert pool.decoded(leaf_id) is None
+                assert tree.search(b"k") == b"old"
+        finally:
+            pool.release_snapshot(snapshot)
+        later = pool.pin_snapshot()
+        try:
+            with pool.reading(later):
+                assert tree.search(b"k") == b"new"
+        finally:
+            pool.release_snapshot(later)
+        db.close()
+
+    def test_fresh_instances_under_snapshots_while_a_writer_splits(
+            self, tmp_path):
+        """Stress: every reader iteration opens its *own* tree instance
+        under a fresh snapshot — all of them share the pool's decoded
+        nodes with a writer that keeps splitting leaves.  A reader that
+        was ever handed a node newer than its pin sees a key beyond its
+        counter (or misses one below it)."""
+        commits, readers = 150, 6
+        db = Database(str(tmp_path / "stress.db"), buffer_capacity=256,
+                      page_size=256)
+        pool = db.buffer_pool
+        with db.transaction():
+            tree = BTree.create(pool)
+            tree.insert(b"zcounter", b"-1")
+        meta = tree.meta_page_id
+        done = threading.Event()
+        errors: list[BaseException] = []
+        checked = [0] * readers
+
+        def key(i: int) -> bytes:
+            return b"k%06d" % i
+
+        def writer() -> None:
+            try:
+                for i in range(commits):
+                    with db.transaction(wait=False) as txn:
+                        tree.insert(key(i), b"v" * 20)
+                        tree.insert(b"zcounter", b"%d" % i, replace=True)
+                    txn.wait_durable()
+            except BaseException as error:  # noqa: BLE001 - reported
+                errors.append(error)
+            finally:
+                done.set()
+
+        def reader(slot: int) -> None:
+            try:
+                while not done.is_set() or not checked[slot]:
+                    snapshot = pool.pin_snapshot()
+                    try:
+                        with pool.reading(snapshot):
+                            mine = BTree(pool, meta)
+                            count = int(mine.search(b"zcounter"))
+                            assert [k for k, __ in mine.items()] == [
+                                *map(key, range(count + 1)), b"zcounter"]
+                    finally:
+                        pool.release_snapshot(snapshot)
+                    checked[slot] += 1
+            except BaseException as error:  # noqa: BLE001 - reported
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(
+                [threading.Thread(target=writer, daemon=True)]
+                + [threading.Thread(target=reader, args=(slot,),
+                                    daemon=True)
+                   for slot in range(readers)], errors)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(checked)
+        assert tree.height > 1                   # leaves really split
+        db.close()

@@ -382,6 +382,7 @@ class TestWireTracing:
         with NetClient(*net_server.address) as client:
             client.execute("r", "//item").fetchall()
             text = client.metrics()
+            stats = client.stats()
         lines = text.strip().splitlines()
         assert lines == sorted(lines)
         page = "\n".join(lines)
@@ -389,6 +390,10 @@ class TestWireTracing:
         assert "repro_server_completed" in page
         assert "repro_network_queries" in page
         assert "repro_storage_buffer_hit_rate" in page
+        # One counter, three surfaces: the pool's, the server's, the page.
+        decodes = dict(line.split() for line in lines)[
+            "repro_storage_buffer_decodes_total"]
+        assert int(decodes) == stats["server"]["decodes"] > 0
         assert "repro_slowlog_slow_queries" in page
         assert "repro_registry_producer_errors 0" in page
 

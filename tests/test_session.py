@@ -116,6 +116,36 @@ class TestPlanCache:
         assert session.cache_info().size == 2
         assert not session.prepare("fig2", "//name").from_cache
 
+    def test_dead_generations_do_not_crowd_out_live_plans(self, loaded):
+        """Every update strands the updated document's plans under an
+        unreachable version; they must not sit in the LRU until they
+        push out another document's still-valid plans."""
+        statements = ["//title", "//author", "//year"]
+        session = loaded.session(plan_cache_capacity=8)
+        untouched = session.prepare("treebank", "//NP")
+        loaded.update("dblp",
+                      "insert node <soak>0</soak> as first into /dblp")
+        for round_ in range(10):
+            loaded.update("dblp", "replace value of node "
+                          f'/dblp/soak/text() with "{round_}"')
+            for statement in statements:
+                session.prepare("dblp", statement)
+            assert session.cache_info().size <= 2 * len(statements) + 1
+        hit = session.prepare("treebank", "//NP")
+        assert hit.from_cache and hit.compiled is untouched.compiled
+        # The previous generation survives one bump (a reader that
+        # overlaps an update keeps its plans), older ones do not.
+        versions = {key[3] for key in session._cache._entries
+                    if key[0] == "dblp"}
+        current = loaded.catalog_version("dblp")
+        assert versions == {current - 1, current}
+        loaded.update("dblp",
+                      'replace value of node /dblp/soak/text() with "x"')
+        session.prepare("dblp", statements[0])
+        versions = {key[3] for key in session._cache._entries
+                    if key[0] == "dblp"}
+        assert versions == {current, current + 1}
+
     def test_query_reuses_plan(self, fig2):
         session = fig2.session()
         assert session.query("fig2", "//name") == \

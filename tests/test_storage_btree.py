@@ -200,3 +200,64 @@ class TestPersistence:
             list(range(400))
         assert pool.stats.evictions > 0
         pager.close()
+
+
+class TestSharedDecodedNodes:
+    """Decoded nodes belong to the pool's frames, not to a tree
+    instance: every instance reads the same node objects, so a
+    published node must never change under a reader's hands."""
+
+    def test_instances_share_one_decoded_node_per_page(self, pool, tree):
+        for key in range(200):
+            tree.insert(k(key), b"v")
+        other = BTree(pool, tree.meta_page_id)
+        assert (other._descend_to_leaf(k(77))
+                is tree._descend_to_leaf(k(77)))
+        decodes = pool.stats.decodes
+        assert list(other.items()) == list(tree.items())
+        assert pool.stats.decodes == decodes
+
+    def test_write_through_another_instance_leaves_held_node_intact(
+            self, pool, tree):
+        for key in range(5):
+            tree.insert(k(key), b"old")
+        held = tree._descend_to_leaf(k(2))
+        keys, values = held.keys, held.values
+        before = (list(keys), list(values))
+
+        writer = BTree(pool, tree.meta_page_id)
+        writer.insert(k(99), b"new")
+        writer.insert(k(2), b"replaced", replace=True)
+        writer.delete(k(0))
+
+        assert held.keys is keys and held.values is values
+        assert (list(held.keys), list(held.values)) == before
+        # A fresh read — through the *first* instance — sees the writes.
+        fresh = tree._descend_to_leaf(k(2))
+        assert fresh is not held
+        assert k(99) in fresh.keys and k(0) not in fresh.keys
+        assert tree.search(k(99)) == b"new"
+        assert tree.search(k(2)) == b"replaced"
+        assert tree.search(k(0)) is None
+
+    def test_published_nodes_are_frozen(self, pool, tree):
+        for key in range(200):                   # leaves and internals
+            tree.insert(k(key), b"v")
+        for node in (tree._read_node(tree.root_page_id),
+                     tree._descend_to_leaf(k(1))):
+            for field in (node.keys, node.values, node.children):
+                assert isinstance(field, tuple)
+
+    def test_split_through_another_instance_leaves_held_leaf_intact(
+            self, pool, tree):
+        tree.insert(k(0), b"v")
+        held = tree._descend_to_leaf(k(0))
+        assert held.page_id == tree.root_page_id
+        writer = BTree(pool, tree.meta_page_id)
+        for key in range(1, 200):
+            writer.insert(k(key), b"v")
+        assert writer.height > 1
+        assert list(held.keys) == [k(0)] and held.next_leaf == 0
+        reopened = BTree(pool, tree.meta_page_id)
+        assert [key for key, __ in reopened.items()] == \
+            [k(key) for key in range(200)]

@@ -1,8 +1,12 @@
 """Buffer pool tests: pinning, LRU eviction, write-back, accounting."""
 
+import gc
+
 import pytest
 
+from repro.core.dbms import XmlDbms
 from repro.errors import BufferPoolError
+from repro.storage.btree import BTree, _Node
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
 
@@ -77,12 +81,94 @@ class TestEviction:
         with pytest.raises(BufferPoolError):
             pool.new_page()
 
-    def test_eviction_callback_fires(self, pool):
-        evicted = []
-        pool.on_evict(evicted.append)
-        ids = fill(pool, 5)
-        assert evicted
-        assert set(evicted) <= set(ids)
+
+
+def publish(pool, page_id):
+    """Decode-and-publish as a B+-tree reader does; returns the node."""
+    node = object()
+    with pool.latched(page_id) as page:
+        pool.publish_decoded(page_id, page, node)
+    assert pool.decoded(page_id) is node
+    return node
+
+
+class TestDecodedSlot:
+    """The decoded form of a page lives and dies with its frame."""
+
+    def test_counted_once_and_served_as_a_logical_hit(self, pool):
+        (page_id,) = fill(pool, 1)
+        assert pool.decoded(page_id) is None
+        publish(pool, page_id)
+        assert pool.stats.decodes == 1
+        hits = pool.stats.hits
+        assert pool.decoded(page_id) is not None
+        assert pool.stats.hits == hits + 1
+        assert pool.stats.decodes == 1
+
+    def test_evicting_drops_it(self, pool):
+        (page_id,) = fill(pool, 1)
+        publish(pool, page_id)
+        fill(pool, 3)
+        assert page_id not in pool.resident_pages()
+        assert pool.decoded(page_id) is None
+        pool.get_page(page_id, pin=False)    # faulted back: undecoded
+        assert pool.decoded(page_id) is None
+
+    def test_freeing_drops_it(self, pool):
+        (page_id,) = fill(pool, 1)
+        publish(pool, page_id)
+        pool.free_page(page_id)
+        assert pool.decoded(page_id) is None
+        reused, __ = pool.new_page()
+        assert reused == page_id
+        assert pool.decoded(page_id) is None
+        pool.unpin(page_id, dirty=True)
+
+    def test_flush_and_clear_drops_it(self, pool):
+        (page_id,) = fill(pool, 1)
+        publish(pool, page_id)
+        pool.flush_and_clear()
+        assert pool.decoded(page_id) is None
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_aborting_drops_it(self, pool, held):
+        (page_id,) = fill(pool, 1)
+        if held:
+            # A commit whose group fsync is pending: abort restores the
+            # frame's bytes instead of dropping the frame.
+            pool.begin_tracking()
+            with pool.latched(page_id, exclusive=True) as page:
+                page[0] = 2
+            pool.publish_commit()
+        pool.begin_tracking()
+        with pool.latched(page_id, exclusive=True) as page:
+            page[0] = 9
+        pool.publish_decoded(page_id, page, object(), fresh=False)
+        assert pool.decoded(page_id) is not None
+        pool.end_tracking_abort()
+        assert pool.decoded(page_id) is None
+        with pool.pinned(page_id) as page:
+            assert page[0] == (2 if held else 1)
+
+    def test_every_dirtying_event_clears_it(self, pool):
+        (page_id,) = fill(pool, 1)
+        publish(pool, page_id)
+        pool.get_page(page_id)
+        pool.unpin(page_id, dirty=True)
+        assert pool.decoded(page_id) is None
+        publish(pool, page_id)
+        pool.mark_dirty(page_id)
+        assert pool.decoded(page_id) is None
+        publish(pool, page_id)
+        with pool.latched(page_id, exclusive=True):
+            assert pool.decoded(page_id) is None
+
+    def test_only_the_live_frames_own_buffer_is_accepted(self, pool):
+        (page_id,) = fill(pool, 1)
+        with pool.pinned(page_id) as page:
+            pool.publish_decoded(page_id, bytearray(page), object())
+        assert pool.decoded(page_id) is None
+        assert pool.stats.decodes == 0
 
 
 class TestFlush:
@@ -157,3 +243,86 @@ class TestStatsLocking:
         lsn, mods = pool.publish_commit()
         pool.complete_commit(lsn, images, mods)
         assert pool.stats.dirty_writebacks == len(mods) >= 1
+
+
+class TestBoundedMemorySoak:
+    """Resident memory is a function of the pool, not of history: a long
+    update run strands no tree instances and no decoded nodes."""
+
+    UPDATES = 200
+
+    @staticmethod
+    def census():
+        gc.collect()
+        nodes = trees = 0
+        for obj in gc.get_objects():
+            if type(obj) is _Node:
+                nodes += 1
+            elif type(obj) is BTree:
+                trees += 1
+        return nodes, trees
+
+    def test_updates_strand_no_trees_and_no_decoded_nodes(
+            self, tmp_path, dblp_xml):
+        with XmlDbms(str(tmp_path / "soak.db"),
+                     buffer_capacity=512) as dbms:
+            dbms.load("dblp", xml=dblp_xml)
+            pool = dbms.db.buffer_pool
+            session = dbms.session()
+
+            dbms.update("dblp",
+                        "insert node <soak>start</soak> as first into /dblp")
+
+            def step(index):
+                dbms.update(
+                    "dblp", "replace value of node /dblp/soak/text() "
+                    "with $n", bindings={"n": f"n{index}"})
+                assert session.query("dblp", "/dblp/soak") \
+                    == f"<soak>n{index}</soak>"
+
+            for index in range(8):           # reach the steady state
+                step(index)
+            __, warm_trees = self.census()
+            for index in range(8, 8 + self.UPDATES):
+                step(index)
+            nodes, trees = self.census()
+            assert nodes <= len(pool.resident_pages())
+            assert trees <= warm_trees
+            # Nothing on the pool refers back to a tree instance.
+            for value in vars(pool).values():
+                items = (value.values() if isinstance(value, dict)
+                         else value if isinstance(value, (list, set))
+                         else ())
+                assert not any(
+                    isinstance(getattr(item, "__self__", None), BTree)
+                    for item in items)
+
+
+class TestDecodesCounter:
+    def test_rerun_after_unrelated_update_decodes_only_touched_pages(
+            self, loaded):
+        """``decodes`` repeats exactly with one client.  An update builds
+        new tree instances and a new engine generation, but a resident
+        page is decoded once per pool, not once per instance: only pages
+        the commit rewrote can need decoding again."""
+        heavy = "for $a in //article return $a/title"
+        loaded.update("dblp",
+                      "insert node <soak>0</soak> as first into /dblp")
+        loaded.db.checkpoint()
+        loaded.db.buffer_pool.flush_and_clear()       # nothing decoded
+        session = loaded.session()
+        stats = loaded.buffer_stats
+        start = stats.decodes
+        expected = session.query("dblp", heavy)
+        cold = stats.decodes - start
+        session.query("dblp", heavy)
+        assert stats.decodes - start == cold          # warm: none at all
+
+        installed = loaded.mvcc_stats()["versions_installed"]
+        loaded.update("dblp",
+                      'replace value of node /dblp/soak/text() with "1"')
+        touched = loaded.mvcc_stats()["versions_installed"] - installed
+        assert 0 < touched < cold
+        start = stats.decodes
+        assert session.query("dblp", heavy) == expected
+        assert stats.decodes - start <= touched
