@@ -11,13 +11,7 @@
 """
 
 from repro.core.dbms import XmlDbms
-from repro.core.server import (
-    LatencyHistogram,
-    LatencySnapshot,
-    QueryServer,
-    QueryStream,
-    ServerStats,
-)
+from repro.core.server import QueryServer, QueryService, ServerStats
 from repro.core.session import (
     CacheInfo,
     Cursor,
@@ -27,6 +21,8 @@ from repro.core.session import (
     PreparedQuery,
     Session,
 )
+from repro.core.stream import PageStream
+from repro.obs import LatencyHistogram, LatencySnapshot
 
 __all__ = [
     "XmlDbms",
@@ -38,7 +34,8 @@ __all__ = [
     "PlanExplain",
     "CacheInfo",
     "QueryServer",
-    "QueryStream",
+    "QueryService",
+    "PageStream",
     "ServerStats",
     "LatencyHistogram",
     "LatencySnapshot",

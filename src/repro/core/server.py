@@ -36,7 +36,13 @@ Three serving concerns, each deliberately explicit:
 ``submit`` returns a :class:`concurrent.futures.Future`; results are the
 familiar node lists (or serialized text with ``serialize=True``).  The
 futures support the full protocol — ``result(timeout)``, callbacks,
-``cancel()`` of still-queued work.
+``cancel()`` of still-queued work.  ``submit_stream`` returns a
+:class:`~repro.core.stream.PageStream` over the same execution: one
+read path pages the cursor, and ``submit`` merely collects the pages.
+
+:class:`QueryService` declares what a front end
+(:class:`~repro.net.server.NetworkServer`) needs from the server it
+fronts; :class:`QueryServer` and the shard mediator both implement it.
 
 Updating statements may be submitted like any query; they resolve to an
 :class:`~repro.updates.UpdateResult`.  Reads and updates of one document
@@ -59,19 +65,19 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from typing import Protocol
 
 from repro.core.session import ExecutionOptions, Session
+from repro.core.stream import PageStream, StreamAborted
 from repro.engine.profiles import EngineProfile
 from repro.errors import (
     AdmissionError,
-    CursorClosedError,
+    ProtocolError,
     ResourceLimitExceeded,
     ServerClosedError,
     UpdateError,
 )
-# Re-exported for compatibility: the histogram grew up in this module
-# and existing importers (net/server.py, repro.core) keep working.
-from repro.obs.metrics import (  # noqa: F401
+from repro.obs.metrics import (
     LatencyHistogram,
     LatencySnapshot,
     MetricsRegistry,
@@ -140,17 +146,22 @@ class PageEnvelope:
     def from_payload(cls, payload: dict) -> "PageEnvelope":
         """Rebuild an envelope from a PAGE frame's payload.
 
-        Tolerates pre-metadata peers: a payload without ``doc``/``base``
-        decodes with an empty document name and a ``-1`` base, which
-        downstream merge logic treats as "no merge key available".
+        A payload without well-typed ``doc``/``base``/``rows``/``eof``
+        is a peer breaking the protocol, not a page.
         """
-        return cls(document=payload.get("doc", ""),
-                   base=payload.get("base", -1),
-                   rows=payload.get("rows", []),
-                   eof=bool(payload.get("eof")),
-                   total_rows=payload.get("total_rows"),
-                   plan_cache_hit=payload.get("plan_cache_hit"),
-                   spans=payload.get("spans"))
+        envelope = cls(document=payload.get("doc"),
+                       base=payload.get("base"),
+                       rows=payload.get("rows"),
+                       eof=payload.get("eof"),
+                       total_rows=payload.get("total_rows"),
+                       plan_cache_hit=payload.get("plan_cache_hit"),
+                       spans=payload.get("spans"))
+        if not (isinstance(envelope.document, str)
+                and isinstance(envelope.base, int)
+                and isinstance(envelope.rows, list)
+                and isinstance(envelope.eof, bool)):
+            raise ProtocolError(f"malformed PAGE frame: {payload!r:.200}")
+        return envelope
 
 
 @dataclass(frozen=True)
@@ -168,8 +179,7 @@ class ServerStats:
     included, which is exactly the backpressure a caller should see).
 
     The MVCC/group-commit fields mirror the storage layer's counters at
-    snapshot time (all defaulted, so older peers deserializing the
-    mapping stay compatible): ``snapshots_pinned`` is the number of
+    snapshot time: ``snapshots_pinned`` is the number of
     currently pinned read snapshots, ``snapshots_opened`` the lifetime
     count, ``snapshot_reads`` the page reads served from the version
     store, ``versions_retained`` the superseded page images currently
@@ -212,158 +222,47 @@ class _Task:
     batch_size: int
     serialize: bool
     indent: int | None
-    enqueued_at: float = 0.0
-    #: Set on streaming submissions: the bounded page buffer shared with
-    #: the consumer.  ``None`` means the classic full-result path.
-    sink: "QueryStream | None" = None
-    page_size: int = DEFAULT_PAGE_SIZE
     #: The query's ``repro.obs.trace.TraceContext``, when traced: the
     #: worker records queue wait and an execute span (with per-operator
     #: ANALYZE profiles attached) into it.
-    trace: object | None = None
+    trace: object | None
+    page_size: int = DEFAULT_PAGE_SIZE
+    #: Set on streaming submissions: where the pages go.  ``None``
+    #: means the worker collects them into the future's result.
+    sink: PageStream | None = None
+    enqueued_at: float = 0.0
 
 
-class _StreamAborted(Exception):
-    """Internal: the stream's consumer closed it mid-production."""
+class QueryService(Protocol):
+    """What a :class:`~repro.net.server.NetworkServer` needs to serve.
 
-
-class QueryStream:
-    """Consumer handle of a streaming submission.
-
-    The producing worker pushes pages (lists of result nodes, or
-    serialized strings with ``serialize=True``) into a bounded buffer;
-    once ``max_buffered_pages`` pages wait unconsumed the worker blocks —
-    that bound is the server-side backpressure, and the submission
-    deadline keeps ticking while blocked, so a consumer that stops
-    fetching sheds its own query instead of pinning a worker forever.
-
-    One consumer thread at a time: call :meth:`next_page` until it
-    returns ``None`` (end of results), or :meth:`close` to abandon the
-    stream early (the producer notices at its next page boundary and
-    releases the worker).  Execution errors — including a missed
-    deadline — re-raise out of :meth:`next_page`.
+    ``submit_stream`` must not block (admission is synchronous, the
+    work is not) and ``submit`` is how updating statements run;
+    ``stats()`` returns a dataclass, ``metrics_registry`` is the
+    registry the front end joins, and ``io_slots`` says how many
+    blocking waits (page fetches, loads) it should expect at once.
     """
 
-    def __init__(self, future: Future, page_size: int,
-                 max_buffered_pages: int, document: str = ""):
-        self.future = future
-        self.page_size = page_size
-        #: The document the stream reads — page envelopes carry it so
-        #: merge keys survive serialization (see :class:`PageEnvelope`).
-        self.document = document
-        self._pages: queue.Queue = queue.Queue(maxsize=max_buffered_pages)
-        self._closed = threading.Event()
-        self._close_reason: BaseException | None = None
-        #: Terminal error parked outside the bounded buffer, so delivery
-        #: can never block the producer behind a full buffer.
-        self._error: BaseException | None = None
-        #: Set by the worker after prepare: whether the plan came from
-        #: the worker session's plan cache.
-        self.plan_cache_hit: bool | None = None
-        #: Set by the worker once its snapshot ticket is pinned: the
-        #: commit LSN every page of this stream observes.
-        self.snapshot_lsn: int | None = None
-        #: Rows pushed so far (maintained by the producer).
-        self.rows_produced = 0
+    metrics_registry: MetricsRegistry
+    io_slots: int
 
-    # -- consumer side ------------------------------------------------------
+    def submit_stream(self, document: str, query, bindings=None, *,
+                      serialize: bool, page_size: int,
+                      max_buffered_pages: int, time_limit=...,
+                      trace=None) -> PageStream: ...
 
-    def next_page(self, timeout: float | None = None):
-        """The next page of results; ``None`` when the stream is done.
+    def submit(self, document: str, query, bindings=None, *,
+               trace=None) -> Future: ...
 
-        Blocks until the producer delivers a page (or ``timeout``
-        seconds elapse — then raises ``queue.Empty``).  Raises the
-        execution error if the stream failed, and
-        :class:`~repro.errors.CursorClosedError` after :meth:`close`.
-        """
-        end = (time.monotonic() + timeout if timeout is not None
-               else None)
-        while True:
-            if self._closed.is_set():
-                if self._close_reason is not None:
-                    raise self._close_reason
-                raise CursorClosedError("stream is closed")
-            # Short get timeouts make the wait interruptible: a put
-            # wakes the condition variable immediately, so the 50 ms
-            # tick costs nothing on the data path — it only bounds how
-            # long a close() or parked error goes unnoticed.
-            try:
-                kind, payload = self._pages.get(timeout=0.05)
-            except queue.Empty:
-                if self._error is not None:
-                    error = self._error
-                    self.close()
-                    raise error from None
-                if end is not None and time.monotonic() >= end:
-                    raise
-                continue
-            if kind == "page":
-                return payload
-            if kind == "error":
-                self.close()
-                raise payload
-            self.close()                 # kind == "end"
-            return None
+    def load(self, document: str, xml: str | None = None,
+             path: str | None = None): ...
 
-    def pages(self):
-        """Iterate pages until the stream ends."""
-        while True:
-            page = self.next_page()
-            if page is None:
-                return
-            yield page
+    def stats(self): ...
 
-    def close(self, reason: BaseException | None = None) -> None:
-        """Abandon the stream; the producer unblocks and aborts.
-
-        Idempotent.  ``reason`` (server-internal) makes a later
-        ``next_page`` raise it instead of ``CursorClosedError``.
-        """
-        if self._closed.is_set():
-            return
-        self._close_reason = reason
-        self._closed.set()
-        # Drain whatever is buffered so a producer blocked on a full
-        # buffer wakes up and sees the closed flag.
-        while True:
-            try:
-                self._pages.get_nowait()
-            except queue.Empty:
-                return
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
-
-    # -- producer side (worker thread) --------------------------------------
-
-    def _offer(self, item: tuple, deadline_check) -> None:
-        """Blocking put honouring close and the submission deadline."""
-        while True:
-            if self._closed.is_set():
-                raise _StreamAborted()
-            deadline_check()
-            try:
-                self._pages.put(item, timeout=0.05)
-                return
-            except queue.Full:
-                continue
-
-    def _deliver_error(self, error: BaseException) -> None:
-        """Terminal error delivery that can never block the producer.
-
-        Parks the error beside the buffer first (a consumer draining the
-        queue finds it once the buffered pages run out), then opportunistically
-        enqueues it in order behind those pages if there is room.
-        """
-        self._error = error
-        try:
-            self._pages.put_nowait(("error", error))
-        except queue.Full:
-            pass
+    def close(self) -> None: ...
 
 
-class QueryServer:
+class QueryServer(QueryService):
     """Serve queries against one :class:`~repro.core.dbms.XmlDbms`.
 
     Thread-safe throughout: any number of client threads may ``submit``
@@ -417,7 +316,7 @@ class QueryServer:
         #: Streams whose producer is (or will be) running; close()
         #: aborts them so shutdown never waits on an absent consumer.
         # guarded by: self._stats_lock
-        self._streams: set[QueryStream] = set()
+        self._streams: set[PageStream] = set()
         #: The unified metrics surface: the worker pool and the storage
         #: layer register here; layers wrapping this server (network
         #: front end) join the same registry, so one METRICS page covers
@@ -426,6 +325,7 @@ class QueryServer:
         self.metrics_registry.register(
             "server", lambda: dataclasses.asdict(self.stats()))
         self.metrics_registry.register("storage", self._storage_metrics)
+        self.io_slots = workers
         self._workers = [
             threading.Thread(target=self._worker_loop,
                              name=f"query-server-worker-{index}",
@@ -455,25 +355,9 @@ class QueryServer:
         Execution errors (including a missed deadline) surface through
         the future.
         """
-        # reprolint: disable=RL002 racy fast-fail only; _admit re-checks
-        # under self._lifecycle_lock before the task becomes visible
-        if self._closed:
-            raise ServerClosedError("submit() on a closed QueryServer")
-        time_limit = (self.options.time_limit if time_limit is _UNSET
-                      else time_limit)
-        memory_budget = (self.options.memory_budget
-                         if memory_budget is _UNSET else memory_budget)
-        if batch_size is _UNSET:
-            batch_size = self.options.batch_size
-        deadline = (time.monotonic() + time_limit
-                    if time_limit is not None else None)
-        task = _Task(future=Future(), document=document, query=query,
-                     bindings=bindings,
-                     profile=(self.options.profile if profile is None
-                              else profile),
-                     deadline=deadline, time_limit=time_limit,
-                     memory_budget=memory_budget, batch_size=batch_size,
-                     serialize=serialize, indent=indent, trace=trace)
+        task = self._task(document, query, bindings, profile, time_limit,
+                          memory_budget, batch_size, serialize, indent,
+                          trace)
         self._admit(task)
         return task.future
 
@@ -487,85 +371,80 @@ class QueryServer:
                       indent: int | None = None,
                       page_size: int = DEFAULT_PAGE_SIZE,
                       max_buffered_pages: int = DEFAULT_MAX_BUFFERED_PAGES,
-                      trace=None) -> QueryStream:
+                      trace=None) -> PageStream:
         """Enqueue a query whose results stream back page by page.
 
         Admission control, deadlines and worker scheduling are exactly
-        :meth:`submit`'s; the difference is the result path — a
-        :class:`QueryStream` whose pages the worker produces on demand
-        under a bounded buffer (``max_buffered_pages``), holding a
-        pinned snapshot ticket for the stream's lifetime so every page
+        :meth:`submit`'s; the difference is where the pages go — into a
+        :class:`~repro.core.stream.PageStream` the worker fills on
+        demand under a bounded buffer (``max_buffered_pages``), holding
+        a pinned snapshot ticket for the stream's lifetime so every page
         comes from one consistent snapshot (concurrent updates proceed;
-        their versions are retained until the stream finishes).  The submission deadline
-        covers the whole stream, including time spent blocked on a slow
-        consumer: a stalled client turns into a
+        their versions are retained until the stream finishes).  The
+        submission deadline covers the whole stream, including time
+        spent blocked on a slow consumer: a stalled client turns into a
         :class:`~repro.errors.ResourceLimitExceeded` on its own stream,
         never an idle worker held forever.  The stream's ``future``
-        resolves to the total row count when production finishes.
+        resolves to the total row count when production finishes
+        (``None`` if the consumer closed it first).
         """
         if page_size < 1:
             raise ValueError(f"page_size must be >= 1, got {page_size}")
         if max_buffered_pages < 1:
             raise ValueError(f"max_buffered_pages must be >= 1, got "
                              f"{max_buffered_pages}")
-        # reprolint: disable=RL002 racy fast-fail only; _admit re-checks
-        # under self._lifecycle_lock before the task becomes visible
-        if self._closed:
-            raise ServerClosedError("submit_stream() on a closed "
-                                    "QueryServer")
-        time_limit = (self.options.time_limit if time_limit is _UNSET
-                      else time_limit)
-        memory_budget = (self.options.memory_budget
-                         if memory_budget is _UNSET else memory_budget)
-        if batch_size is _UNSET:
-            batch_size = self.options.batch_size
-        deadline = (time.monotonic() + time_limit
-                    if time_limit is not None else None)
-        future: Future = Future()
-        stream = QueryStream(future, page_size=page_size,
-                             max_buffered_pages=max_buffered_pages,
-                             document=document)
-        task = _Task(future=future, document=document, query=query,
-                     bindings=bindings,
-                     profile=(self.options.profile if profile is None
-                              else profile),
-                     deadline=deadline, time_limit=time_limit,
-                     memory_budget=memory_budget, batch_size=batch_size,
-                     serialize=serialize, indent=indent,
-                     sink=stream, page_size=page_size, trace=trace)
-        # Registered before the task becomes visible: a worker finishing
-        # the stream discards it from the set, which must never race
-        # ahead of the add.
-        with self._stats_lock:
-            self._streams.add(stream)
-        try:
-            self._admit(task)
-        except BaseException:
-            with self._stats_lock:
-                self._streams.discard(stream)
-            raise
-        return stream
+        task = self._task(document, query, bindings, profile, time_limit,
+                          memory_budget, batch_size, serialize, indent,
+                          trace)
+        task.page_size = page_size
+        task.sink = PageStream(document, page_size, max_buffered_pages,
+                               future=task.future)
+        self._admit(task)
+        return task.sink
+
+    def _task(self, document, query, bindings, profile, time_limit,
+              memory_budget, batch_size, serialize, indent,
+              trace) -> _Task:
+        """Resolve per-call overrides against the server defaults."""
+        if time_limit is _UNSET:
+            time_limit = self.options.time_limit
+        return _Task(
+            future=Future(), document=document, query=query,
+            bindings=bindings,
+            profile=self.options.profile if profile is None else profile,
+            deadline=(time.monotonic() + time_limit
+                      if time_limit is not None else None),
+            time_limit=time_limit,
+            memory_budget=(self.options.memory_budget
+                           if memory_budget is _UNSET else memory_budget),
+            batch_size=(self.options.batch_size if batch_size is _UNSET
+                        else batch_size),
+            serialize=serialize, indent=indent, trace=trace)
 
     def _admit(self, task: _Task) -> None:
-        """Enqueue under admission control (shared by both submit paths)."""
+        """Enqueue under admission control (both submit paths)."""
         task.enqueued_at = time.monotonic()
         with self._lifecycle_lock:
-            # Re-checked under the lock: close() flips the flag under it
-            # too, so a task admitted here is enqueued before the
-            # shutdown sentinels and will be served (or cancelled).
+            # close() flips the flag under this lock too, so a task
+            # admitted here is enqueued before the shutdown sentinels
+            # and will be served (or cancelled).
             if self._closed:
                 raise ServerClosedError("submit() on a closed QueryServer")
-            # Counted *before* the task becomes visible to workers, so
-            # the stats invariant (submitted ≥ completed + failed +
-            # cancelled) holds under any interleaving.
+            # Counted (and a stream registered) *before* the task
+            # becomes visible to workers, so the stats invariant
+            # (submitted ≥ completed + failed + cancelled) holds and a
+            # worker's discard never races ahead of the add.
             with self._stats_lock:
                 self._submitted += 1
+                if task.sink is not None:
+                    self._streams.add(task.sink)
             try:
                 self._queue.put_nowait(task)
             except queue.Full:
                 with self._stats_lock:
                     self._submitted -= 1
                     self._rejected += 1
+                    self._streams.discard(task.sink)
                 raise AdmissionError(
                     f"query queue is full ({self._queue.maxsize} "
                     f"pending); resubmit after the backlog drains"
@@ -626,82 +505,84 @@ class QueryServer:
             if not task.future.set_running_or_notify_cancel():
                 with self._stats_lock:
                     self._cancelled += 1
+                    self._streams.discard(task.sink)
                 continue
-            if task.sink is not None:
-                self._serve_stream(session, task, started)
-                continue
+            result = error = None
+            aborted = False
             try:
-                result = self._run(session, task)
+                result = self._execute(session, task)
+            except StreamAborted:
+                aborted = True
             except BaseException as exc:  # the future carries it
-                # Counters move before the future resolves: a caller
-                # that returns from future.result() and immediately
-                # reads stats() must see this query accounted for.
-                with self._stats_lock:
+                error = exc
+            # Counters move before the future resolves: a caller that
+            # returns from future.result() and immediately reads
+            # stats() must see this query accounted for.
+            with self._stats_lock:
+                if aborted:
+                    self._cancelled += 1
+                elif error is not None:
                     self._failed += 1
-                    self._execution_hist.record(time.monotonic() - started)
-                task.future.set_exception(exc)
-            else:
-                with self._stats_lock:
+                else:
                     self._completed += 1
-                    self._execution_hist.record(time.monotonic() - started)
+                self._execution_hist.record(time.monotonic() - started)
+                self._streams.discard(task.sink)
+            # A stream's outcome goes both ways: next_page() meets it
+            # behind the buffered pages, the future is for anyone
+            # awaiting the producer.
+            if task.sink is not None:
+                task.sink.lanes[0].finish(error)
+            if error is not None:
+                task.future.set_exception(error)
+            else:
                 task.future.set_result(result)
 
-    def _serve_stream(self, session: Session, task: _Task,
-                      started: float) -> None:
-        """Produce a streaming task's pages; settle counters and future."""
-        sink = task.sink
-        try:
-            rows = self._run_stream(session, task)
-        except _StreamAborted:
-            with self._stats_lock:
-                self._cancelled += 1
-                self._execution_hist.record(time.monotonic() - started)
-                self._streams.discard(sink)
-            task.future.set_result(None)
-        except BaseException as exc:
-            with self._stats_lock:
-                self._failed += 1
-                self._execution_hist.record(time.monotonic() - started)
-                self._streams.discard(sink)
-            # Deliver the error on both paths: next_page() raises it for
-            # a consumer mid-fetch, the future for anyone awaiting the
-            # outcome.
-            sink._deliver_error(exc)
-            task.future.set_exception(exc)
-        else:
-            with self._stats_lock:
-                self._completed += 1
-                self._execution_hist.record(time.monotonic() - started)
-                self._streams.discard(sink)
-            task.future.set_result(rows)
+    def _execute(self, session: Session, task: _Task):
+        """Run one task: an update, or *the* read path.
 
-    def _run_stream(self, session: Session, task: _Task) -> int:
-        """Execute a streaming task, pushing pages into its sink.
-
-        A snapshot ticket is pinned for the whole stream — every page
-        observes exactly the commits published before the pin, however
-        long the consumer takes, and concurrent updates to the document
-        proceed without waiting for the stream (their versions are
-        retained until the ticket releases).
+        A read prepares, executes and pages under one snapshot ticket —
+        every page observes exactly the commits published before the
+        pin, however long the consumer takes, and concurrent updates
+        proceed without waiting (their versions are retained until the
+        ticket releases).  Pages go into the task's stream; without one
+        they are collected into the returned result.
         """
-        sink = task.sink
-        trace = task.trace
-        deadline_check = lambda: self._check_deadline(task)  # noqa: E731
-        self._check_deadline(task)
+        self._check_deadline(task)    # fail fast on queue-expired work
         program = session._parse(task.query)
+        sink, trace = task.sink, task.trace
         if program.is_updating:
-            raise UpdateError("updating statements do not stream; "
-                              "submit them with submit()")
+            # Updates run concurrently with snapshot reads — they
+            # serialize only against each other (and at the
+            # version-install step inside commit publish), never against
+            # readers.  The transaction is not interruptible, so the
+            # deadline is only enforced up front.
+            if sink is not None:
+                raise UpdateError("updating statements do not stream; "
+                                  "submit them with submit()")
+            if task.serialize:
+                raise UpdateError("updating statements have no "
+                                  "serialized result; submit with "
+                                  "serialize=False")
+            with (trace.span("update", document=task.document)
+                  if trace is not None else contextlib.nullcontext()):
+                return self.dbms.update(task.document, program,
+                                        bindings=task.bindings)
         profiler = PlanProfiler() if trace is not None else None
-        exec_cm = (trace.span("execute", document=task.document)
-                   if trace is not None else contextlib.nullcontext())
+        collected: list = []
+        rows = 0
         with self.dbms.read_ticket(task.document) as ticket:
-            sink.snapshot_lsn = ticket.snapshot_lsn
             prepared = session.prepare(task.document, program,
                                        profile=task.profile)
-            sink.plan_cache_hit = prepared.from_cache
+            if sink is not None:
+                sink.snapshot_lsn = ticket.snapshot_lsn
+                sink.plan_cache_hit = prepared.from_cache
+            # The deadline is re-taken *after* prepare: compilation
+            # counts against the submission deadline exactly like queue
+            # wait does.
             remaining = self._check_deadline(task)
-            with exec_cm as span:
+            with (trace.span("execute", document=task.document)
+                  if trace is not None
+                  else contextlib.nullcontext()) as span:
                 with prepared.execute(bindings=task.bindings,
                                       time_limit=remaining,
                                       memory_budget=task.memory_budget,
@@ -710,67 +591,30 @@ class QueryServer:
                                       trace=trace) as cursor:
                     while True:
                         nodes = cursor.fetch(task.page_size)
-                        if nodes:
-                            page = ([_serialize_node(node,
-                                                     indent=task.indent)
-                                     for node in nodes]
-                                    if task.serialize else nodes)
-                            sink._offer(("page", page), deadline_check)
+                        page = ([_serialize_node(node, indent=task.indent)
+                                 for node in nodes]
+                                if task.serialize else nodes)
+                        if sink is None:
+                            collected.extend(page)
+                        elif nodes:
+                            # Blocked on a full buffer, the deadline
+                            # keeps ticking: it is the put's timeout.
+                            while not sink.lanes[0].put(
+                                    (rows, page),
+                                    self._check_deadline(task)):
+                                pass
                             sink.rows_produced += len(nodes)
+                        rows += len(nodes)
                         if len(nodes) < task.page_size:
                             break
                 if span is not None:
                     span.attach(profiler.as_span_dicts())
                     span.attributes.update(
-                        rows=sink.rows_produced,
-                        plan_cache_hit=prepared.from_cache,
+                        rows=rows, plan_cache_hit=prepared.from_cache,
                         snapshot_lsn=ticket.snapshot_lsn)
-        sink._offer(("end", None), deadline_check)
-        return sink.rows_produced
-
-    def _run(self, session: Session, task: _Task):
-        self._check_deadline(task)    # fail fast on queue-expired work
-        program = session._parse(task.query)
-        if program.is_updating:
-            # Updates run concurrently with the snapshot reads below —
-            # they serialize only against each other (and at the
-            # version-install step inside commit publish), never against
-            # readers.  The transaction is not interruptible, so the
-            # deadline is only enforced up front.
-            if task.serialize:
-                raise UpdateError("updating statements have no "
-                                  "serialized result; submit with "
-                                  "serialize=False")
-            if task.trace is None:
-                return self.dbms.update(task.document, program,
-                                        bindings=task.bindings)
-            with task.trace.span("update", document=task.document):
-                return self.dbms.update(task.document, program,
-                                        bindings=task.bindings)
-        trace = task.trace
-        profiler = PlanProfiler() if trace is not None else None
-        exec_cm = (trace.span("execute", document=task.document)
-                   if trace is not None else contextlib.nullcontext())
-        with self.dbms.read_ticket(task.document):
-            prepared = session.prepare(task.document, program,
-                                       profile=task.profile)
-            # The deadline is re-taken *after* prepare: compilation
-            # counts against the submission deadline exactly like queue
-            # wait does.
-            remaining = self._check_deadline(task)
-            with exec_cm as span:
-                with prepared.execute(bindings=task.bindings,
-                                      time_limit=remaining,
-                                      memory_budget=task.memory_budget,
-                                      batch_size=task.batch_size,
-                                      profiler=profiler,
-                                      trace=trace) as cursor:
-                    result = (cursor.serialize(indent=task.indent)
-                              if task.serialize else cursor.fetchall())
-                if span is not None:
-                    span.attach(profiler.as_span_dicts())
-                    span.attributes["plan_cache_hit"] = prepared.from_cache
-                return result
+        if sink is not None:
+            return rows
+        return "".join(collected) if task.serialize else collected
 
     @staticmethod
     def _check_deadline(task: _Task) -> float | None:
@@ -863,8 +707,7 @@ class QueryServer:
                     if task is not _SHUTDOWN and task.future.cancel():
                         with self._stats_lock:
                             self._cancelled += 1
-                            if task.sink is not None:
-                                self._streams.discard(task.sink)
+                            self._streams.discard(task.sink)
             for __ in self._workers:
                 self._queue.put(_SHUTDOWN)
         # Every caller (first or not) waits for the pool to exit, so a

@@ -309,14 +309,14 @@ class RemoteCursor:
                                 total_rows=self.total_rows,
                                 plan_cache_hit=self.plan_cache_hit)
         try:
-            response = self.client._fetch(self.handle)
+            envelope = PageEnvelope.from_payload(
+                self.client._fetch(self.handle))
         except BaseException:
-            # The server dropped the cursor along with the error; a
-            # later close() must not CLOSE a handle that no longer
-            # exists.
+            # The server dropped the cursor along with the error (or
+            # broke the protocol); a later close() must not CLOSE a
+            # handle that no longer exists.
             self._eof = True
             raise
-        envelope = PageEnvelope.from_payload(response)
         if envelope.eof:
             self._eof = True
             self.total_rows = envelope.total_rows

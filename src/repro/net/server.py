@@ -1,8 +1,9 @@
 """The asyncio front end: TCP connections feeding the worker pool.
 
 One :class:`NetworkServer` owns an asyncio event loop serving any
-number of connections, and bridges them to the *threaded*
-:class:`~repro.core.server.QueryServer`:
+number of connections, and bridges them to a *threaded*
+:class:`~repro.core.server.QueryService` — a local
+:class:`~repro.core.server.QueryServer` or the shard mediator:
 
 * cheap control operations (admission, statement bookkeeping) run
   directly on the loop — ``submit``/``submit_stream`` never block;
@@ -19,7 +20,7 @@ stays up; only protocol violations (bad framing) drop it.
 
 Per connection the server keeps a statement table (PREPARE handle →
 parsed program) and a cursor table (EXECUTE handle → live
-:class:`~repro.core.server.QueryStream`).  Both are torn down
+:class:`~repro.core.stream.PageStream`).  Both are torn down
 unconditionally when the connection ends, however it ends — the stream
 close is what releases a worker blocked producing pages for a client
 that vanished, so disconnects can never leak cursors or workers.
@@ -27,7 +28,7 @@ that vanished, so disconnects can never leak cursors or workers.
 Observability: every query that reaches EXECUTE gets a per-query record
 (rows, bytes, wall latency, plan-cache hit, outcome), aggregated into a
 latency histogram and counters exposed through the STATS message — next
-to the ``QueryServer``'s own queue-wait/execution histograms — and
+to the served layer's own ``stats()`` — and
 summarized by a periodic structured log line on the ``repro.net``
 logger.
 """
@@ -48,17 +49,12 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.core.server import (
     DEFAULT_MAX_BUFFERED_PAGES,
     DEFAULT_PAGE_SIZE,
-    LatencyHistogram,
     PageEnvelope,
     QueryServer,
+    QueryService,
 )
 from repro.errors import ProtocolError, ReproError, ServerError, UpdateError
-from repro.obs import (
-    MetricsRegistry,
-    SlowQueryLog,
-    TraceContext,
-    registry_of,
-)
+from repro.obs import LatencyHistogram, SlowQueryLog, TraceContext
 from repro.net.protocol import (
     MAX_FRAME,
     PROTOCOL_VERSION,
@@ -480,8 +476,9 @@ class _Connection:
 class NetworkServer:
     """Serve a :class:`~repro.core.dbms.XmlDbms` over TCP.
 
-    Owns (or wraps) a :class:`~repro.core.server.QueryServer` and an
-    asyncio event loop.  Two ways to run it:
+    Owns a :class:`~repro.core.server.QueryServer` (or wraps any
+    :class:`~repro.core.server.QueryService` passed as
+    ``query_server``) and an asyncio event loop.  Two ways to run it:
 
     * :meth:`start` / :meth:`stop` — spin the loop on a background
       thread (what the tests and the embedding use);
@@ -499,7 +496,7 @@ class NetworkServer:
                  max_buffered_pages: int = DEFAULT_MAX_BUFFERED_PAGES,
                  max_frame: int = MAX_FRAME,
                  log_interval: float = 30.0,
-                 query_server: QueryServer | None = None,
+                 query_server: QueryService | None = None,
                  shard_id: int | None = None,
                  slow_query_seconds: float | None = None):
         self.dbms = dbms
@@ -515,16 +512,13 @@ class NetworkServer:
             dbms, workers=workers, max_pending=max_pending,
             profile=profile, time_limit=time_limit,
             memory_budget=memory_budget)
-        workers = len(self.query_server._workers)
         self.executor = ThreadPoolExecutor(
-            max_workers=max(8, workers * 2),
+            max_workers=max(8, self.query_server.io_slots * 2),
             thread_name_prefix="repro-net-io")
         self.metrics = _NetMetrics()
-        # Join the wrapped layer's registry (a QueryServer or a
-        # ShardedServer both carry one) so METRICS serves every layer's
-        # counters off one page; start fresh only for exotic wrappers.
-        self.metrics_registry = (registry_of(self.query_server)
-                                 or MetricsRegistry())
+        # Join the served layer's registry, so METRICS serves every
+        # layer's counters off one page.
+        self.metrics_registry = self.query_server.metrics_registry
         self.metrics_registry.register("network", self.metrics.snapshot)
         # Threshold None disables the slow-query log (nothing is ever
         # over an infinite threshold) but keeps its counter exported.

@@ -17,8 +17,7 @@ may depend on it freely.
 """
 
 from repro.obs.metrics import (Counter, Gauge, LatencyHistogram,
-                               LatencySnapshot, MetricsRegistry,
-                               registry_of)
+                               LatencySnapshot, MetricsRegistry)
 from repro.obs.profile import OperatorProfile, PlanProfiler, render_profiles
 from repro.obs.trace import SlowQueryLog, Span, TraceContext
 
@@ -33,6 +32,5 @@ __all__ = [
     "SlowQueryLog",
     "Span",
     "TraceContext",
-    "registry_of",
     "render_profiles",
 ]

@@ -27,7 +27,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Tuple
 
 __all__ = [
     "Counter",
@@ -35,7 +35,6 @@ __all__ = [
     "LatencyHistogram",
     "LatencySnapshot",
     "MetricsRegistry",
-    "registry_of",
 ]
 
 
@@ -320,14 +319,3 @@ class MetricsRegistry:
     def render_text(self) -> str:
         """The full metrics page as Prometheus-style text."""
         return "\n".join(self.render_lines()) + "\n"
-
-
-def registry_of(server: object) -> Optional[MetricsRegistry]:
-    """The ``metrics_registry`` attribute of ``server``, if it has one.
-
-    Used by layers that wrap a duck-typed query server (the network
-    front end wraps either a ``QueryServer`` or a ``ShardedServer``) to
-    join the wrapped layer's registry instead of starting a new one.
-    """
-    registry = getattr(server, "metrics_registry", None)
-    return registry if isinstance(registry, MetricsRegistry) else None

@@ -16,8 +16,9 @@ of a real DBMS does — more *processes*:
   subqueries, and merges the streamed pages back in document order;
 * ``python -m repro.shard`` — the CLI: spawn a cluster, place
   documents, and serve the whole thing through one address speaking
-  the ordinary wire protocol (the mediator duck-types ``QueryServer``,
-  so :class:`~repro.net.server.NetworkServer` fronts it unchanged).
+  the ordinary wire protocol (the mediator is a
+  :class:`~repro.core.server.QueryService`, so
+  :class:`~repro.net.server.NetworkServer` fronts it unchanged).
 
 The failure model is per-shard: a dead member makes *its* documents
 raise :class:`~repro.errors.ShardUnavailableError` while every other

@@ -4,62 +4,55 @@
 processes (or in-process :class:`~repro.net.server.NetworkServer`
 instances — the tests' fixture), each owning its own
 :class:`~repro.core.dbms.XmlDbms`, and presents them as a single
-server:
+:class:`~repro.core.server.QueryService` — which is how
+``python -m repro.shard`` exposes a whole cluster through one
+:class:`~repro.net.server.NetworkServer` address speaking the ordinary
+wire protocol.
 
-* **Routing.**  A catalog maps every logical document to the shard (or
-  shards) holding it.  A query or update against one document travels
-  to its owner over a pooled, reconnecting
-  :class:`~repro.net.pool.ConnectionPool` connection and streams back
-  unchanged.
-
-* **Decomposition.**  A query against ``"*"`` (every document) or
-  against a *partitioned* document (loaded with ``parts > 1``, chunk
-  ``i`` on shard ``i``) fans out: one subquery per owning shard, all
-  running concurrently, their pages merged back into a single stream
-  in document order by a k-way merge keyed on ``(document rank, row
-  index)`` — the metadata :class:`~repro.core.server.PageEnvelope`
-  carries across the wire.
-
-* **The QueryServer duck type.**  ``submit_stream`` / ``submit`` /
-  ``load`` / ``stats`` / ``close`` mirror
-  :class:`~repro.core.server.QueryServer`, so a
-  :class:`~repro.net.server.NetworkServer` can serve a mediator
-  exactly as it serves a local worker pool — that is how
-  ``python -m repro.shard`` exposes a whole cluster through one
-  address speaking the ordinary wire protocol.
+A catalog maps every logical document to the shard (or shards) holding
+it.  A query becomes one :class:`~repro.core.stream.PageStream` with
+one *part* per owning shard: a single part for a whole document, one
+per chunk for a *partitioned* document (loaded with ``parts > 1``,
+chunk ``i`` on shard ``i``), one per document chunk for ``"*"`` (every
+document).  Each part is a subquery on a pooled, reconnecting
+:class:`~repro.net.pool.ConnectionPool` connection, all running
+concurrently, their pages merged back in document order keyed on
+``(part rank, row index)`` — the metadata
+:class:`~repro.core.server.PageEnvelope` carries across the wire.
+Updates are routed to the document's single owner.
 
 Failure semantics: a dead shard makes queries touching *its* documents
 raise :class:`~repro.errors.ShardUnavailableError` (after the pool's
 one reconnect retry absorbs mere restarts), while documents on other
-shards keep being served.  A fan-out that needs a dead shard fails as
-a whole — partial results are never returned.  Updates are routed but
-never auto-retried: an update whose connection died mid-flight may or
-may not have been applied, and silently applying it twice is worse
-than surfacing the failure.
+shards keep being served.  A query that needs a dead shard fails as a
+whole — it never ends early as if complete.  Updates are never
+auto-retried: an update whose connection died mid-flight may or may not
+have been applied, and silently applying it twice is worse than
+surfacing the failure.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import itertools
-import queue
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from operator import itemgetter
 from pathlib import Path
 
-from repro.core.server import DEFAULT_MAX_BUFFERED_PAGES, DEFAULT_PAGE_SIZE
+from repro.core.server import (
+    DEFAULT_MAX_BUFFERED_PAGES,
+    DEFAULT_PAGE_SIZE,
+    QueryService,
+)
+from repro.core.stream import PageStream, StreamAborted
 from repro.errors import (
     CatalogError,
-    CursorClosedError,
     ProtocolError,
     ServerClosedError,
     ShardError,
     ShardUnavailableError,
     UpdateError,
 )
-from repro.net.client import DEFAULT_TIMEOUT, NetClient, RemoteCursor
+from repro.net.client import DEFAULT_TIMEOUT
 from repro.net.pool import ConnectionPool
 from repro.obs import MetricsRegistry
 from repro.shard.partition import split_document
@@ -100,10 +93,10 @@ def statement_text(statement) -> str:
 class MediatorStats:
     """Mediator-local counters (no network round trips to collect).
 
-    ``queries`` counts routed single-shard streams, ``fanouts``
-    decomposed multi-shard streams; ``rows_streamed`` is rows handed to
-    consumers across both.  ``pool_connects``/``pool_retries``/
-    ``pool_discards`` aggregate the per-shard connection pools —
+    ``queries`` counts streams over one whole document, ``fanouts``
+    those over ``"*"`` or a partitioned one; ``rows_streamed`` is rows
+    handed to consumers across both, added when a stream ends.
+    ``pool_connects``/``pool_retries``/``pool_discards`` aggregate the per-shard connection pools —
     ``pool_retries`` ticking up is the visible trace of shard restarts
     being absorbed.  For the cluster-wide view (every shard's own
     ``ServerStats`` and network metrics summed) call
@@ -123,7 +116,7 @@ class MediatorStats:
     pool_discards: int
 
 
-class ShardedServer:
+class ShardedServer(QueryService):
     """Mediate queries over a set of shard servers.
 
     ``endpoints`` is the cluster membership: ``(host, port)`` per
@@ -157,12 +150,10 @@ class ShardedServer:
         self._closed = False
         # guarded by: self._lock
         self._streams: set = set()
+        #: Enough I/O slots to keep every shard busy.
+        self.io_slots = max(4, 2 * len(endpoints))
         self._executor = ThreadPoolExecutor(
-            max_workers=max(4, 2 * len(endpoints)),
-            thread_name_prefix="repro-shard")
-        #: Sizing hint for a fronting NetworkServer (QueryServer duck
-        #: type): enough I/O slots to keep every shard busy.
-        self._workers = tuple(range(max(4, 2 * len(endpoints))))
+            max_workers=self.io_slots, thread_name_prefix="repro-shard")
         # guarded by: self._lock
         self._queries = 0
         # guarded by: self._lock
@@ -175,8 +166,8 @@ class ShardedServer:
         self._errors = 0
         # guarded by: self._lock
         self._rows_streamed = 0
-        #: Joined by a fronting NetworkServer (registry_of duck type) so
-        #: the cluster front door's METRICS page carries these counters.
+        #: Joined by a fronting NetworkServer, so the cluster front
+        #: door's METRICS page carries these counters.
         self.metrics_registry = MetricsRegistry()
         self.metrics_registry.register(
             "mediator", lambda: dataclasses.asdict(self.stats()))
@@ -281,7 +272,7 @@ class ShardedServer:
             self._loads += 1
         return shards
 
-    # -- the QueryServer duck type -------------------------------------------
+    # -- queries and updates -------------------------------------------------
 
     def submit_stream(self, document: str, query,
                       bindings: dict | None = None,
@@ -289,17 +280,15 @@ class ShardedServer:
                       page_size: int | None = None,
                       max_buffered_pages: int = DEFAULT_MAX_BUFFERED_PAGES,
                       time_limit: float | None = None,
-                      trace=None):
+                      trace=None) -> PageStream:
         """A streaming result for ``document`` (or ``"*"`` for all).
 
-        Single-owner documents return a routed stream — pages relayed
-        from the owning shard.  ``"*"`` and partitioned documents
-        return a fan-out stream: one subquery per owning shard, fetched
-        concurrently, rows merged back in document order.  Both satisfy
-        the :class:`~repro.core.server.QueryStream` consumer interface
-        (``next_page`` / ``pages`` / ``close`` / ``plan_cache_hit``),
-        and neither blocks the caller — shard dialing happens on first
-        fetch (routed) or on the prefetch threads (fan-out).
+        One subquery per owning shard, fetched concurrently on one
+        prefetch thread each (a fast shard runs ahead only
+        ``max_buffered_pages`` pages), rows merged back in document
+        order; a single-owner document is the one-part case.  Nothing
+        here blocks the caller — shard dialing happens on the prefetch
+        threads.  Any part failing fails the whole stream.
 
         With a :class:`~repro.obs.TraceContext` as ``trace``, a
         ``mediator`` span opens under its current span, the trace id
@@ -312,49 +301,139 @@ class ShardedServer:
             raise ShardError("the mediator streams serialized rows; "
                              "submit_stream(serialize=False) is only "
                              "available on a local QueryServer")
+        if document == ALL_DOCUMENTS:
+            catalog = self.documents()
+            parts = [(name, shard)
+                     for name in sorted(catalog)
+                     for shard in catalog[name]]
+            if not parts:
+                raise CatalogError("the mediator serves no documents")
+        else:
+            parts = [(document, shard)
+                     for shard in self._placement(document)]
         page_size = page_size or self.page_size
         text = statement_text(query)
         span = wire_trace = None
         if trace is not None:
             span = trace.current.child("mediator", document=document)
             wire_trace = trace.as_payload()
-        if document == ALL_DOCUMENTS:
+        # Each part's eof envelope, written by its prefetch thread
+        # before it ends its lane and read by the consumer only after
+        # every lane has ended — one writer per slot, so no lock.
+        finals: list = [None] * len(parts)
+
+        def on_end(stream: PageStream, error) -> None:
             with self._lock:
-                catalog = dict(self._catalog)
-            parts = [(name, shard)
-                     for name in sorted(catalog)
-                     for shard in catalog[name]]
-            if not parts:
-                raise CatalogError("the mediator serves no documents")
-            return self._open_fanout(document, parts, text, bindings,
-                                     page_size, max_buffered_pages,
-                                     time_limit, span, wire_trace)
-        shards = self._placement(document)
-        if len(shards) > 1:
-            parts = [(document, shard) for shard in shards]
-            return self._open_fanout(document, parts, text, bindings,
-                                     page_size, max_buffered_pages,
-                                     time_limit, span, wire_trace)
-        stream = _RoutedStream(self, shards[0], document, text,
-                               bindings, page_size, time_limit,
-                               span=span, wire_trace=wire_trace)
+                self._streams.discard(stream)
+                self._rows_streamed += stream.rows_delivered
+                if error is not None:
+                    self._errors += 1
+            if stream.total_rows is not None:
+                hits = [final.plan_cache_hit for final in finals]
+                if None not in hits:
+                    stream.plan_cache_hit = all(hits)
+            if span is None:
+                return
+            if error is not None:
+                span.end(error=type(error).__name__)
+            elif stream.total_rows is not None:
+                for final in finals:
+                    span.attach(final.spans)
+                span.end(rows=stream.total_rows, parts=len(parts))
+            else:
+                span.end()
+
+        stream = PageStream(document, page_size, max_buffered_pages,
+                            lanes=len(parts), on_end=on_end)
         with self._lock:
-            self._queries += 1
+            if document == ALL_DOCUMENTS or len(parts) > 1:
+                self._fanouts += 1
+            else:
+                self._queries += 1
             self._streams.add(stream)
+        for rank, (name, shard) in enumerate(parts):
+            threading.Thread(
+                target=self._prefetch,
+                args=(stream.lanes[rank], finals, rank, shard, name,
+                      text, bindings, page_size, time_limit, wire_trace),
+                name=f"repro-shard-part-{rank}", daemon=True).start()
         return stream
 
-    def _open_fanout(self, label, parts, text, bindings, page_size,
-                     max_buffered_pages, time_limit, span=None,
-                     wire_trace=None):
-        stream = _FanoutStream(self, label, parts, text, bindings,
-                               page_size, max_buffered_pages,
-                               time_limit, span=span,
-                               wire_trace=wire_trace)
-        with self._lock:
-            self._fanouts += 1
-            self._streams.add(stream)
-        stream._start()
-        return stream
+    def _prefetch(self, lane, finals: list, rank: int, shard: int,
+                  document: str, *execute_args) -> None:
+        """Producer of one part: relay a shard cursor's pages into ``lane``.
+
+        The lease goes back to the pool *before* the lane ends, so a
+        consumer that sees the end of results finds every connection
+        reusable.
+        """
+        try:
+            client, cursor = self._lease_cursor(shard, document,
+                                                *execute_args)
+        except BaseException as error:
+            lane.finish(error)
+            return
+        error, discard = None, False
+        try:
+            while not (envelope := cursor.fetch_envelope()).eof:
+                lane.put((envelope.base, envelope.rows))
+            finals[rank] = envelope
+        except StreamAborted:
+            # The consumer closed mid-stream and the remote cursor is
+            # still open; free it (best effort) with the lease.
+            try:
+                cursor.close()
+            except Exception:
+                discard = True
+        except _CONNECTION_FAILURES as failure:
+            # Terminal: the cursor's position died with the connection.
+            discard = True
+            error = ShardUnavailableError(
+                f"shard {shard} died mid-stream on {document!r}: "
+                f"{failure}", shard=shard, document=document)
+        except BaseException as failure:
+            # A typed error over a healthy connection: the shard already
+            # dropped the cursor, the connection survives.
+            error = failure
+        self._pools[shard].release(client, discard=discard)
+        lane.finish(error)
+
+    def _lease_cursor(self, shard: int, document: str, text: str,
+                      bindings, page_size, time_limit, wire_trace):
+        """EXECUTE on a pooled connection, keeping the lease.
+
+        Retries the EXECUTE once on a stale connection (the
+        shard-restart window); the caller owns releasing the returned
+        client when the stream ends.  Raises
+        :class:`~repro.errors.ShardUnavailableError` when the shard
+        cannot be reached at all.
+        """
+        pool = self._pools[shard]
+        for attempt in range(2):
+            try:
+                client = pool.acquire()
+            except ShardUnavailableError as error:
+                error.document = error.document or document
+                raise
+            try:
+                cursor = client.execute(document, text, bindings=bindings,
+                                        page_size=page_size,
+                                        time_limit=time_limit,
+                                        trace=wire_trace)
+            except _CONNECTION_FAILURES as error:
+                pool.release(client, discard=True)
+                if attempt == 0:
+                    pool.record_retry()
+                    continue
+                raise ShardUnavailableError(
+                    f"shard {shard} failed twice opening a cursor on "
+                    f"{document!r}: {error}", shard=shard,
+                    document=document) from error
+            except BaseException:
+                pool.release(client)
+                raise
+            return client, cursor
+        raise AssertionError("unreachable")
 
     def submit(self, document: str, statement,
                bindings: dict | None = None, trace=None,
@@ -534,7 +613,6 @@ class ShardedServer:
                 return
             self._closed = True
             streams = list(self._streams)
-            self._streams.clear()
         for stream in streams:
             stream.close(ServerClosedError(
                 "ShardedServer closed while the stream was open"))
@@ -542,386 +620,11 @@ class ShardedServer:
         for pool in self._pools:
             pool.close()
 
-    def _discard_stream(self, stream) -> None:
-        with self._lock:
-            self._streams.discard(stream)
-
     def __enter__(self) -> "ShardedServer":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# --------------------------------------------------------------------------
-# streams
-# --------------------------------------------------------------------------
-
-
-def _lease_cursor(server: ShardedServer, shard: int, document: str,
-                  text: str, bindings, page_size, time_limit,
-                  wire_trace=None) -> tuple[NetClient, RemoteCursor]:
-    """EXECUTE on a pooled connection, keeping the lease for the stream.
-
-    Retries the EXECUTE once on a stale connection (the shard-restart
-    window); the caller owns releasing the returned client when the
-    stream ends.  Raises
-    :class:`~repro.errors.ShardUnavailableError` when the shard cannot
-    be reached at all.
-    """
-    pool = server._pools[shard]
-    last: BaseException | None = None
-    for attempt in range(2):
-        try:
-            client = pool.acquire()
-        except ShardUnavailableError as error:
-            error.document = error.document or document
-            raise
-        try:
-            cursor = client.execute(document, text, bindings=bindings,
-                                    page_size=page_size,
-                                    time_limit=time_limit,
-                                    trace=wire_trace)
-        except _CONNECTION_FAILURES as error:
-            pool.release(client, discard=True)
-            last = error
-            if attempt == 0:
-                pool.record_retry()
-                continue
-            raise ShardUnavailableError(
-                f"shard {shard} failed twice opening a cursor on "
-                f"{document!r}: {last}", shard=shard,
-                document=document) from error
-        except BaseException:
-            pool.release(client)
-            raise
-        return client, cursor
-    raise AssertionError("unreachable")
-
-
-class _RoutedStream:
-    """A single-shard stream: pages relayed from the owning shard.
-
-    Satisfies the consumer side of
-    :class:`~repro.core.server.QueryStream`.  The shard connection is
-    leased lazily on the first :meth:`next_page` — submission never
-    blocks — and returned to the pool when the stream ends, closes, or
-    fails.  A connection failure mid-stream is terminal (the cursor's
-    position died with the connection) and surfaces as
-    :class:`~repro.errors.ShardUnavailableError`.
-    """
-
-    def __init__(self, server: ShardedServer, shard: int, document: str,
-                 text: str, bindings, page_size: int,
-                 time_limit: float | None, span=None, wire_trace=None):
-        self.server = server
-        self.shard = shard
-        self.document = document
-        self._text = text
-        self._bindings = bindings
-        self.page_size = page_size
-        self._time_limit = time_limit
-        self._span = span
-        self._wire_trace = wire_trace
-        self._client: NetClient | None = None
-        self._cursor: RemoteCursor | None = None
-        self._done = False
-        self._closed = False
-        self._lock = threading.Lock()
-        self.plan_cache_hit: bool | None = None
-        self.total_rows: int | None = None
-
-    def next_page(self, timeout: float | None = None):
-        """The next page of serialized rows; ``None`` at the end."""
-        with self._lock:
-            if self._closed:
-                raise CursorClosedError("stream is closed")
-            if self._done:
-                return None
-            if self._cursor is None:
-                self._client, self._cursor = _lease_cursor(
-                    self.server, self.shard, self.document, self._text,
-                    self._bindings, self.page_size, self._time_limit,
-                    wire_trace=self._wire_trace)
-            try:
-                envelope = self._cursor.fetch_envelope()
-            except _CONNECTION_FAILURES as error:
-                self._done = True
-                self._release(discard=True)
-                self.server._count("_errors")
-                if self._span is not None:
-                    self._span.end(error=type(error).__name__,
-                                   shard=self.shard)
-                raise ShardUnavailableError(
-                    f"shard {self.shard} died mid-stream on "
-                    f"{self.document!r}: {error}", shard=self.shard,
-                    document=self.document) from error
-            except BaseException as error:
-                # A typed error over a healthy connection: the shard
-                # already dropped the cursor, the connection survives.
-                self._done = True
-                self._release()
-                self.server._count("_errors")
-                if self._span is not None:
-                    self._span.end(error=type(error).__name__,
-                                   shard=self.shard)
-                raise
-            if envelope.eof:
-                self._done = True
-                self.plan_cache_hit = envelope.plan_cache_hit
-                self.total_rows = envelope.total_rows
-                if self._span is not None:
-                    self._span.attach(envelope.spans)
-                    self._span.end(rows=envelope.total_rows,
-                                   shard=self.shard)
-                self._release()
-                self.server._discard_stream(self)
-                return None
-            self.server._count("_rows_streamed", len(envelope.rows))
-            return envelope.rows
-
-    def _release(self, discard: bool = False) -> None:
-        if self._client is not None:
-            self.server._pools[self.shard].release(self._client,
-                                                   discard=discard)
-            self._client = None
-            self._cursor = None
-
-    def pages(self):
-        """Iterate pages until the stream ends."""
-        while True:
-            page = self.next_page()
-            if page is None:
-                return
-            yield page
-
-    def close(self, reason: BaseException | None = None) -> None:
-        """Abandon the stream; frees the shard-side cursor (idempotent)."""
-        with self._lock:
-            if self._closed or (self._done and self._client is None):
-                self._closed = True
-                return
-            self._closed = True
-            cursor, self._cursor = self._cursor, None
-            if cursor is not None:
-                try:
-                    cursor.close()
-                except Exception:
-                    self._release(discard=True)
-                else:
-                    self._release()
-            if self._span is not None:
-                self._span.end()
-        self.server._discard_stream(self)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-
-class _FanoutStream:
-    """A decomposed stream: per-shard subqueries merged in order.
-
-    ``parts`` lists ``(document, shard)`` pairs in global document
-    order — every logical document for ``"*"``, or one entry per chunk
-    of a partitioned document.  One prefetch thread per part leases a
-    cursor and pushes keyed rows through a bounded queue (so fast
-    shards run ahead only ``max_buffered_pages`` pages); the consumer
-    side lazily drives a ``heapq.merge`` over the part iterators keyed
-    by ``(part rank, base + offset)``, which reconstructs document
-    order exactly because rows within a part already arrive ordered.
-    A slow shard therefore stalls the merge only while one of its rows
-    is genuinely next.
-
-    Any part failing — including
-    :class:`~repro.errors.ShardUnavailableError` from a dead shard —
-    fails the whole stream; partial fan-out results are never served.
-    """
-
-    def __init__(self, server: ShardedServer, label: str, parts,
-                 text: str, bindings, page_size: int,
-                 max_buffered_pages: int, time_limit: float | None,
-                 span=None, wire_trace=None):
-        self.server = server
-        self.document = label
-        self.parts = list(parts)
-        self._text = text
-        self._bindings = bindings
-        self.page_size = page_size
-        self._time_limit = time_limit
-        self._span = span
-        self._wire_trace = wire_trace
-        # Per-rank slots written by each prefetch thread at its eof and
-        # read by the consumer thread in _finish — never shared between
-        # writers, so no lock (spans themselves are not thread-safe).
-        self._part_spans: list = [None] * len(self.parts)
-        self._queues = [queue.Queue(maxsize=max(1, max_buffered_pages))
-                        for _ in self.parts]
-        self._threads: list[threading.Thread] = []
-        self._merged = None
-        self._done = False
-        self._closed = threading.Event()
-        self.plan_cache_hit: bool | None = None
-        self.total_rows: int | None = None
-        self._part_hits: list[bool | None] = [None] * len(self.parts)
-        self._rows = 0
-
-    def _start(self) -> None:
-        for rank, (document, shard) in enumerate(self.parts):
-            thread = threading.Thread(
-                target=self._prefetch, args=(rank, document, shard),
-                name=f"repro-shard-fanout-{rank}", daemon=True)
-            self._threads.append(thread)
-            thread.start()
-
-    # -- producer side (one thread per part) ---------------------------------
-
-    def _put(self, rank: int, item) -> bool:
-        """Close-aware bounded put; False once the stream is closed."""
-        while not self._closed.is_set():
-            try:
-                self._queues[rank].put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def _prefetch(self, rank: int, document: str, shard: int) -> None:
-        try:
-            client, cursor = _lease_cursor(
-                self.server, shard, document, self._text,
-                self._bindings, self.page_size, self._time_limit,
-                wire_trace=self._wire_trace)
-        except BaseException as error:
-            self._put(rank, ("error", error))
-            return
-        pool = self.server._pools[shard]
-        try:
-            while True:
-                try:
-                    envelope = cursor.fetch_envelope()
-                except _CONNECTION_FAILURES as error:
-                    pool.release(client, discard=True)
-                    client = None
-                    self._put(rank, ("error", ShardUnavailableError(
-                        f"shard {shard} died mid-fanout on "
-                        f"{document!r}: {error}", shard=shard,
-                        document=document)))
-                    return
-                except BaseException as error:
-                    pool.release(client)
-                    client = None
-                    self._put(rank, ("error", error))
-                    return
-                if envelope.eof:
-                    self._part_hits[rank] = envelope.plan_cache_hit
-                    self._part_spans[rank] = envelope.spans
-                    pool.release(client)
-                    client = None
-                    self._put(rank, ("end", None))
-                    return
-                if not self._put(rank, ("rows", (envelope.base,
-                                                 envelope.rows))):
-                    return               # consumer closed us
-        finally:
-            if client is not None:
-                # Closed mid-stream: the remote cursor is still open;
-                # free it (best effort) before returning the lease.
-                try:
-                    cursor.close()
-                except Exception:
-                    pool.release(client, discard=True)
-                else:
-                    pool.release(client)
-
-    # -- consumer side -------------------------------------------------------
-
-    def _iter_part(self, rank: int):
-        while True:
-            if self._closed.is_set():
-                raise CursorClosedError("stream is closed")
-            try:
-                kind, payload = self._queues[rank].get(timeout=0.05)
-            except queue.Empty:
-                continue
-            if kind == "rows":
-                base, rows = payload
-                for offset, row in enumerate(rows):
-                    yield ((rank, base + offset), row)
-            elif kind == "end":
-                return
-            else:                        # kind == "error"
-                raise payload
-
-    def next_page(self, timeout: float | None = None):
-        """The next merged page of serialized rows; ``None`` at the end."""
-        if self._closed.is_set():
-            raise CursorClosedError("stream is closed")
-        if self._done:
-            return None
-        if self._merged is None:
-            self._merged = heapq.merge(
-                *(self._iter_part(rank)
-                  for rank in range(len(self.parts))),
-                key=itemgetter(0))
-        try:
-            page = [row for _key, row in
-                    itertools.islice(self._merged, self.page_size)]
-        except BaseException as error:
-            self.server._count("_errors")
-            if self._span is not None:
-                self._span.end(error=type(error).__name__)
-            self.close()
-            raise
-        if not page:
-            self._finish()
-            return None
-        self._rows += len(page)
-        self.server._count("_rows_streamed", len(page))
-        return page
-
-    def _finish(self) -> None:
-        self._done = True
-        self.total_rows = self._rows
-        hits = self._part_hits
-        if all(hit is not None for hit in hits):
-            self.plan_cache_hit = all(hits)
-        if self._span is not None:
-            # Stitch on the consumer thread: every prefetch thread has
-            # delivered its "end" marker (the merge is exhausted), so
-            # the per-rank slots are final.
-            for spans in self._part_spans:
-                self._span.attach(spans)
-            self._span.end(rows=self._rows, parts=len(self.parts))
-        self.server._discard_stream(self)
-
-    def pages(self):
-        """Iterate merged pages until the stream ends."""
-        while True:
-            page = self.next_page()
-            if page is None:
-                return
-            yield page
-
-    def close(self, reason: BaseException | None = None) -> None:
-        """Abandon the stream; prefetch threads unwind (idempotent)."""
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        # Drain so producers blocked on a full queue wake and exit.
-        for part_queue in self._queues:
-            while True:
-                try:
-                    part_queue.get_nowait()
-                except queue.Empty:
-                    break
-        if self._span is not None:
-            self._span.end()
-        self.server._discard_stream(self)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
 
 
 def _merge_numeric(target: dict, source: dict) -> None:

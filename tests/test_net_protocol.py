@@ -21,6 +21,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.server import PageEnvelope
 from repro.errors import (
     AdmissionError,
     CatalogError,
@@ -30,6 +31,7 @@ from repro.errors import (
     ServerError,
     XQSyntaxError,
 )
+from repro.net.client import RemoteCursor
 from repro.net.protocol import (
     MAX_FRAME,
     FrameDecoder,
@@ -255,3 +257,31 @@ class TestErrorFrames:
     def test_error_payloads_are_json_serializable(self):
         payload = encode_error(ResourceLimitExceeded("time", 0.5, 0.9))
         assert json.loads(json.dumps(payload)) == payload
+
+
+# ---------------------------------------------------------------------------
+# PAGE envelopes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"rows": ["<a/>"], "eof": False},                  # no doc / base
+    {"doc": "d", "base": "0", "rows": [], "eof": False},
+    {"doc": "d", "base": 0, "rows": "<a/>", "eof": False},
+    {"doc": "d", "base": 0, "rows": [], "eof": None},
+])
+def test_malformed_page_from_a_peer_fails_typed(payload):
+    """HELLO pins the protocol version, so every PAGE carries its
+    envelope fields; one that does not is a violation, not a page."""
+    with pytest.raises(ProtocolError):
+        PageEnvelope.from_payload(payload)
+
+    class Peer:
+        def _fetch(self, handle):
+            return payload
+
+    cursor = RemoteCursor(Peer(), handle=1)
+    with pytest.raises(ProtocolError):
+        cursor.fetch_envelope()
+    assert cursor.fetch_envelope().eof         # and the cursor is dead

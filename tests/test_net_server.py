@@ -184,10 +184,12 @@ class TestTypedFailures:
                 host, port = served.address
                 with NetClient(host, port) as client:
                     # Cursor 1 occupies the only worker (blocked on
-                    # backpressure after ~2 pages of 100); cursor 2
-                    # fills the one queue slot; the burst then overruns
-                    # admission control.
+                    # backpressure after ~2 pages of 100) — EXECUTE_OK
+                    # does not wait for the dequeue, its first page
+                    # does; cursor 2 then fills the one queue slot and
+                    # the burst overruns admission control.
                     first = client.execute("doc", "/r/item")
+                    head = first.fetch_page()
                     client.execute("doc", "/r/item")
                     rejected = 0
                     for __ in range(10):
@@ -197,7 +199,7 @@ class TestTypedFailures:
                             rejected += 1
                     assert rejected == 10
                     # Same connection, still healthy: drain cursor 1.
-                    assert len(first.fetchall()) == 100
+                    assert len(head) + len(first.fetchall()) == 100
 
     def test_deadline_expiry_is_typed_resource_limit(self, tmp_path):
         with XmlDbms(str(tmp_path / "dl.db")) as dbms:

@@ -43,7 +43,6 @@ from repro.obs import (
     SlowQueryLog,
     Span,
     TraceContext,
-    registry_of,
 )
 from repro.obs.__main__ import pretty
 from repro.shard import ShardedServer
@@ -169,17 +168,6 @@ class TestMetricsRegistry:
         assert "p" not in registry.collect()
         with pytest.raises(ValueError):
             registry.register("", lambda: 0)
-
-    def test_registry_of_duck_type(self):
-        class WithRegistry:
-            metrics_registry = MetricsRegistry()
-
-        class Without:
-            metrics_registry = "not a registry"
-
-        assert registry_of(WithRegistry()) is WithRegistry.metrics_registry
-        assert registry_of(Without()) is None
-        assert registry_of(object()) is None
 
 
 # -- spans and trace contexts ------------------------------------------------

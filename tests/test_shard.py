@@ -335,17 +335,6 @@ def test_connection_pool_reuses_and_counts(cluster):
             dead.run(lambda client: client.stats())
 
 
-def test_closed_stream_raises_and_frees(cluster):
-    med = cluster.mediator
-    med.load("a", xml=items_xml(40))
-    stream = med.submit_stream("a", "/r/item", page_size=4)
-    assert stream.next_page()
-    stream.close()
-    from repro.errors import CursorClosedError
-    with pytest.raises(CursorClosedError):
-        stream.next_page()
-
-
 # -- the wire front door over a mediator -------------------------------------
 
 
