@@ -52,10 +52,10 @@ from repro.xasr.document import StoredDocument
 from repro.xasr.loader import (
     DocumentStatistics,
     build_value_index,
-    load_document,
+    shred_document,
+    store_document,
 )
 from repro.xmlkit.dom import Node
-from repro.xmlkit.tokenizer import iterparse, iterparse_file
 from repro.xq.ast import Program, Query, UpdateExpr
 from repro.xq.parser import parse_program
 
@@ -133,47 +133,27 @@ class XmlDbms:
         Loading over an already-loaded ``name`` *replaces* the document:
         the old relations, indexes and statistics are dropped, and every
         cached engine (including any milestone-1 DOM) and cached plan for
-        the name is invalidated.  The new input is fully validated
-        *before* the old document is touched, so a malformed replacement
-        leaves the existing document intact.
+        the name is invalidated.  The input is shredded — and thereby
+        fully validated — *before* the catalog is touched, so malformed
+        input leaves an existing document intact and a fresh name
+        unregistered.
         """
-        # Validate a *replacement* before taking the dbms lock: parsing
-        # the input can dwarf the load itself, and nothing it does needs
-        # the lock.  The existence check is repeated under the lock — if
-        # the document appeared (or vanished) meanwhile, the rare race
-        # just validates again inside.
-        validated = False
-        if self.db.exists(schema.table_name(name)):
-            self._validate_source(xml, path)
-            validated = True
+        # Tokenise and shred once, outside the dbms lock: it is the bulk
+        # of the work and needs nothing the lock protects.
+        shredded = shred_document(xml, path,
+                                  strip_whitespace=strip_whitespace)
         with self._lock:
             # Bulk loads bypass the WAL; dropping the log first means no
             # stale record can ever replay over the load's raw writes,
             # and the closing checkpoint makes the load itself durable.
             self.db.checkpoint()
             if self.db.exists(schema.table_name(name)):
-                if not validated:
-                    self._validate_source(xml, path)
                 self.drop(name)
-            stats = load_document(self.db, name, xml=xml, path=path,
-                                  strip_whitespace=strip_whitespace,
-                                  bulk=bulk)
+            stats = store_document(self.db, name, shredded, bulk=bulk)
             # Bumped right behind the completeness marker, for ``engine``.
             self._invalidate(name)
             self.db.checkpoint()
             return stats
-
-    @staticmethod
-    def _validate_source(xml: str | None, path: str | None) -> None:
-        """Fully parse a replacement input before the old document is
-        touched, so a malformed replacement leaves it intact."""
-        sources = [source for source in (xml, path)
-                   if source is not None]
-        if len(sources) != 1:
-            raise ValueError("pass exactly one of xml=, path=")
-        for __ in (iterparse(xml) if xml is not None
-                   else iterparse_file(path)):
-            pass
 
     def documents(self) -> list[str]:
         """Names of loaded documents."""

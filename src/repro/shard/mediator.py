@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
 
 from repro.core.server import (
@@ -236,7 +236,9 @@ class ShardedServer(QueryService):
         shard.  With ``parts > 1`` the root's children are split into
         ``parts`` contiguous chunks (:func:`~repro.shard.partition.
         split_document`), chunk ``i`` loaded on shard ``i`` under the
-        same name — queries against the name then fan out and merge.
+        same name, all chunks in parallel — queries against the name
+        then fan out and merge.  A failed load leaves the catalog entry
+        as it was.
         Loading is idempotent (it replaces), so placement retries are
         safe; reloading an existing name keeps its placement shape.
         """
@@ -252,10 +254,17 @@ class ShardedServer(QueryService):
         if parts > 1:
             chunks = split_document(xml, parts)
             shards = tuple(range(parts))
-            for shard, chunk in zip(shards, chunks, strict=True):
-                self._pools[shard].run(
+            # Every chunk loads at once; the catalog entry below is
+            # published only after all of them are acknowledged.
+            futures = [
+                self._executor.submit(
+                    self._pools[shard].run,
                     lambda client, chunk=chunk: client.load(document,
                                                             chunk))
+                for shard, chunk in zip(shards, chunks, strict=True)]
+            wait(futures)
+            for future in futures:
+                future.result()  # re-raises the first typed failure
         else:
             with self._lock:
                 existing = self._catalog.get(document)

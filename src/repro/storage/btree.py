@@ -15,6 +15,9 @@ Properties:
 * leaves are chained left-to-right, so in-order range scans are sequential
   (this is what makes "descendants of x" = one clustered range scan);
 * sorted bulk-loading builds compact trees bottom-up at load time;
+* node sizes are accounted incrementally — a running byte count while
+  packing, ``size`` as a by-product of every (de)serialisation — so no
+  fit test ever re-measures a whole node;
 * every page access goes through the buffer pool, so index I/O is counted
   by the same meter the cost model estimates against.
 
@@ -56,10 +59,18 @@ _META_MAGIC = b"BTRE"
 _NODE_HEADER = struct.Struct(">BH")  # type, count
 _LEAF_NEXT = struct.Struct(">I")
 _LEN = struct.Struct(">H")
+_LEAF_LENS = struct.Struct(">HH")  # key length, value length
 _CHILD = struct.Struct(">I")
 
 _LEAF = 1
 _INTERNAL = 0
+
+#: Serialized bytes of an empty leaf, of one leaf entry's framing, of an
+#: internal node with one child, and of each further key's framing + child.
+_LEAF_BASE = _NODE_HEADER.size + _LEAF_NEXT.size
+_LEAF_ENTRY = _LEAF_LENS.size
+_INTERNAL_BASE = _NODE_HEADER.size + _CHILD.size
+_INTERNAL_ENTRY = _LEN.size + _CHILD.size
 
 
 class _Node:
@@ -68,23 +79,27 @@ class _Node:
     Nodes read from the pool are shared and frozen (tuple fields); a
     writer changes a private :meth:`editable` copy (list fields), which
     ``_write_node`` freezes and publishes.
+
+    ``size`` is the serialized byte count as of the last read or write;
+    a fit test adds the new entry's bytes to it.
     """
 
     __slots__ = ("page_id", "is_leaf", "keys", "values", "children",
-                 "next_leaf")
+                 "next_leaf", "size")
 
     def __init__(self, page_id: int, is_leaf: bool, keys=(), values=(),
-                 children=(), next_leaf: int = 0):
+                 children=(), next_leaf: int = 0, size: int = 0):
         self.page_id = page_id
         self.is_leaf = is_leaf
         self.keys: list[bytes] = list(keys)
         self.values: list[bytes] = list(values)      # leaf only
         self.children: list[int] = list(children)    # internal only
         self.next_leaf = next_leaf                   # leaf only
+        self.size = size
 
     def editable(self) -> "_Node":
         return _Node(self.page_id, self.is_leaf, self.keys, self.values,
-                     self.children, self.next_leaf)
+                     self.children, self.next_leaf, self.size)
 
     def freeze(self) -> "_Node":
         self.keys = tuple(self.keys)
@@ -92,49 +107,33 @@ class _Node:
         self.children = tuple(self.children)
         return self
 
-    # -- size accounting -----------------------------------------------------
+    def serialize_into(self, page: bytearray) -> int:
+        """Write the node image (zero-padded) and return its size.
 
-    def serialized_size(self) -> int:
-        size = _NODE_HEADER.size
+        Raises before touching ``page`` if the image does not fit —
+        this is the one overflow check of every node write.
+        """
+        count = len(self.keys)
+        parts = [_NODE_HEADER.pack(_LEAF if self.is_leaf else _INTERNAL,
+                                   count)]
         if self.is_leaf:
-            size += _LEAF_NEXT.size
+            parts.append(_LEAF_NEXT.pack(self.next_leaf))
+            lens = _LEAF_LENS.pack
             for key, value in zip(self.keys, self.values, strict=True):
-                size += 2 * _LEN.size + len(key) + len(value)
+                parts += (lens(len(key), len(value)), key, value)
         else:
-            size += _CHILD.size * len(self.children)
+            parts.append(struct.pack(f">{count + 1}I", *self.children))
+            length = _LEN.pack
             for key in self.keys:
-                size += _LEN.size + len(key)
-        return size
-
-    def serialize_into(self, page: bytearray) -> None:
-        offset = 0
-        _NODE_HEADER.pack_into(page, offset,
-                               _LEAF if self.is_leaf else _INTERNAL,
-                               len(self.keys))
-        offset += _NODE_HEADER.size
-        if self.is_leaf:
-            _LEAF_NEXT.pack_into(page, offset, self.next_leaf)
-            offset += _LEAF_NEXT.size
-            for key, value in zip(self.keys, self.values, strict=True):
-                _LEN.pack_into(page, offset, len(key))
-                offset += _LEN.size
-                _LEN.pack_into(page, offset, len(value))
-                offset += _LEN.size
-                page[offset:offset + len(key)] = key
-                offset += len(key)
-                page[offset:offset + len(value)] = value
-                offset += len(value)
-        else:
-            for child in self.children:
-                _CHILD.pack_into(page, offset, child)
-                offset += _CHILD.size
-            for key in self.keys:
-                _LEN.pack_into(page, offset, len(key))
-                offset += _LEN.size
-                page[offset:offset + len(key)] = key
-                offset += len(key)
+                parts += (length(len(key)), key)
+        image = b"".join(parts)
+        size = len(image)
+        if size > len(page):
+            raise BTreeError("node exceeds page capacity after write")
+        page[:size] = image
         # Zero the tail so stale bytes never survive.
-        page[offset:] = b"\x00" * (len(page) - offset)
+        page[size:] = bytes(len(page) - size)
+        return size
 
     @classmethod
     def deserialize(cls, page_id: int, page: bytearray) -> "_Node":
@@ -145,10 +144,8 @@ class _Node:
             (node.next_leaf,) = _LEAF_NEXT.unpack_from(page, offset)
             offset += _LEAF_NEXT.size
             for __ in range(count):
-                (klen,) = _LEN.unpack_from(page, offset)
-                offset += _LEN.size
-                (vlen,) = _LEN.unpack_from(page, offset)
-                offset += _LEN.size
+                klen, vlen = _LEAF_LENS.unpack_from(page, offset)
+                offset += _LEAF_LENS.size
                 node.keys.append(bytes(page[offset:offset + klen]))
                 offset += klen
                 node.values.append(bytes(page[offset:offset + vlen]))
@@ -163,6 +160,7 @@ class _Node:
                 offset += _LEN.size
                 node.keys.append(bytes(page[offset:offset + klen]))
                 offset += klen
+        node.size = offset
         return node.freeze()
 
 
@@ -226,9 +224,7 @@ class BTree:
     def _write_node(self, node: _Node) -> None:
         pool = self.buffer_pool
         with pool.latched(node.page_id, exclusive=True) as page:
-            if node.serialized_size() > len(page):
-                raise BTreeError("node exceeds page capacity after write")
-            node.serialize_into(page)
+            node.size = node.serialize_into(page)
         # Dirtying cleared the frame's decoded slot on the way out.
         pool.publish_decoded(node.page_id, page, node.freeze(), fresh=False)
 
@@ -362,7 +358,8 @@ class BTree:
             node.keys.insert(index, key)
             node.values.insert(index, value)
             self.entry_count += 1
-            if node.serialized_size() <= self._max_node_size():
+            grown = node.size + _LEAF_ENTRY + len(key) + len(value)
+            if grown <= self._max_node_size():
                 self._write_node(node)
                 return None
             return self._split_leaf(node)
@@ -374,7 +371,8 @@ class BTree:
         node = node.editable()
         node.keys.insert(index, separator)
         node.children.insert(index + 1, right_id)
-        if node.serialized_size() <= self._max_node_size():
+        grown = node.size + _INTERNAL_ENTRY + len(separator)
+        if grown <= self._max_node_size():
             self._write_node(node)
             return None
         return self._split_internal(node)
@@ -499,6 +497,7 @@ class BTree:
         leaves: list[tuple[bytes, int]] = []  # (first key, page id)
         current = self._read_node(self.root_page_id).editable()
         current.keys, current.values = [], []    # reuse the initial leaf
+        size = _LEAF_BASE                         # running bytes of current
         count = 0
         previous_key: bytes | None = None
         previous_leaf: _Node | None = None
@@ -508,17 +507,18 @@ class BTree:
                 raise BTreeError("bulk_load input must be strictly "
                                  "ascending")
             previous_key = key
-            entry_size = 2 * _LEN.size + len(key) + len(value)
-            if (current.serialized_size() + entry_size > capacity
-                    and current.keys):
+            entry_size = _LEAF_ENTRY + len(key) + len(value)
+            if size + entry_size > capacity and current.keys:
                 if previous_leaf is not None:
                     previous_leaf.next_leaf = current.page_id
                     self._write_node(previous_leaf)
                 leaves.append((current.keys[0], current.page_id))
                 previous_leaf = current
                 current = self._new_node(is_leaf=True)
+                size = _LEAF_BASE
             current.keys.append(key)
             current.values.append(value)
+            size += entry_size
             count += 1
         if previous_leaf is not None:
             previous_leaf.next_leaf = current.page_id
@@ -537,11 +537,12 @@ class BTree:
             while index < len(level):
                 node = self._new_node(False, children=[level[index][1]])
                 first_key = level[index][0]
+                size = _INTERNAL_BASE
                 index += 1
                 while index < len(level):
                     key = level[index][0]
-                    added = _LEN.size + len(key) + _CHILD.size
-                    if node.serialized_size() + added > capacity:
+                    size += _INTERNAL_ENTRY + len(key)
+                    if size > capacity:
                         break
                     node.keys.append(key)
                     node.children.append(level[index][1])

@@ -1,39 +1,35 @@
-"""Streaming XML → XASR shredder (milestone 2's loader).
+"""XML → XASR shredder (milestone 2's loader).
 
 The loader consumes tokenizer events and assigns in/out numbers with a
 single counter exactly as in Figure 2: a node receives ``in`` when its
 opening tag is seen and ``out`` when its closing tag is seen; text nodes
 count as a (virtual) tag pair of their own; the virtual document root has
-``in = 1``.
+``in = 1``.  The DOM is never built.
 
-Only the stack of currently-open nodes is kept in memory — the DOM is never
-built.  A node's XASR tuple is complete when the node *closes*, so
-:func:`shred` yields tuples in ascending **out** order (completion order),
-which is how the students' engines inserted into Berkeley DB.  Two load
-paths exist:
+A load is two steps.  :func:`shred_document` makes one pass over the
+events and produces the rows in ascending ``in`` order (a row's slot is
+reserved when its node opens, its ``out`` filled in when it closes), the
+label- and parent-index keys, and the statistics.  It touches no database,
+so input errors surface before anything is created.
+:func:`store_document` then writes the three B+-trees: sorted bulk builds
+by default, or with ``bulk=False`` tuple-at-a-time insertion in node
+completion order — how the students' engines inserted into Berkeley DB.
+Both produce identical relations; the bulk trees are packed compactly
+and built much faster.
 
-* ``bulk=False`` — true streaming: every tuple is inserted into the
-  primary/secondary B+-trees as it completes (O(depth) loader memory);
-* ``bulk=True`` (default) — tuples are collected, sorted by key and
-  bulk-loaded, producing compactly packed trees much faster.  This is the
-  standard load-time trade-off, not a semantic difference: both paths
-  produce identical relations.
-
-While shredding, the loader gathers the statistics milestone 4 requires:
-"the selectivity of each of the element node labels occurring in the
-document, and the average depth of a node in the data tree" — plus, going
-beyond the paper, equi-depth histograms over text values (global and per
-parent label) that give the cost model real selectivities for value
-predicates.  Histogram construction buffers one truncated sample per text
-node, so the *statistics* side of a load is O(text nodes) even on the
-streaming path; the shredder's own state remains O(depth).
+The statistics are what milestone 4 requires — "the selectivity of each
+of the element node labels occurring in the document, and the average
+depth of a node in the data tree" — plus, going beyond the paper,
+equi-depth histograms over text values (global and per parent label)
+that give the cost model real selectivities for value predicates.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.errors import CatalogError
 from repro.storage.db import Database
@@ -350,63 +346,94 @@ class DocumentStatistics:
         return stats
 
 
-def shred(events: Iterable[XmlEvent], stats: DocumentStatistics,
-          strip_whitespace: bool = True
-          ) -> Iterator[tuple[int, int, int, int, str]]:
-    """Turn an event stream into XASR tuples, O(depth) memory.
+@dataclass
+class ShreddedDocument:
+    """A shredded, hence fully validated, document that is not yet stored:
+    XASR ``rows`` ``(in, out, parent_in, type, value)`` in ascending ``in``
+    order, the (unsorted) secondary-index keys, and the statistics."""
 
-    Yields ``(in, out, parent_in, type, value)`` in node *completion*
-    (ascending ``out``) order.
-    """
+    rows: list
+    label_keys: list[bytes]
+    parent_keys: list[bytes]
+    stats: DocumentStatistics
+
+
+def shred_document(xml: str | None = None, path: str | None = None,
+                   events: Iterable[XmlEvent] | None = None,
+                   strip_whitespace: bool = True) -> ShreddedDocument:
+    """Shred one input — exactly one of ``xml`` (text), ``path`` (file)
+    or ``events`` — in a single pass, without touching any database."""
+    sources = [source for source in (xml, path, events) if source is not None]
+    if len(sources) != 1:
+        raise ValueError("pass exactly one of xml=, path=, events=")
+    if xml is not None:
+        events = iterparse(xml)
+    elif path is not None:
+        events = iterparse_file(path)
+    assert events is not None
+
+    stats = DocumentStatistics()
+    rows: list = []
+    label_keys: list[bytes] = []
+    parent_keys: list[bytes] = []
+    label_counts = stats.label_counts
+    stack: list[list] = []  # rows of the open nodes
     counter = 1
-    # Stack of open nodes: [in, type, value, parent_in].
-    stack: list[list] = []
+    elements = texts = depth_sum = max_depth = 0
     for event in events:
-        if isinstance(event, StartDocument):
-            in_value = counter
-            counter += 1
-            stack.append([in_value, schema.ROOT, "", 0])
-            stats.total_nodes += 1
-        elif isinstance(event, StartElement):
-            in_value = counter
-            counter += 1
+        kind = type(event)
+        if kind is StartElement:
+            name = event.name
             parent_in = stack[-1][0]
-            stack.append([in_value, schema.ELEMENT, event.name, parent_in])
+            row = [counter, 0, parent_in, schema.ELEMENT, name]
+            label_keys.append(schema.label_key(
+                schema.ELEMENT, schema.index_value(name), counter))
+            parent_keys.append(schema.parent_key(parent_in, counter))
+            counter += 1
+            rows.append(row)
+            stack.append(row)
             depth = len(stack) - 1  # the virtual root has depth 0
-            stats.total_nodes += 1
-            stats.element_count += 1
-            stats.label_counts[event.name] = \
-                stats.label_counts.get(event.name, 0) + 1
-            stats.depth_sum += depth
-            stats.max_depth = max(stats.max_depth, depth)
-        elif isinstance(event, Characters):
+            elements += 1
+            label_counts[name] = label_counts.get(name, 0) + 1
+            depth_sum += depth
+            if depth > max_depth:
+                max_depth = depth
+        elif kind is EndElement or kind is EndDocument:
+            stack.pop()[1] = counter
+            counter += 1
+        elif kind is Characters:
             text = event.text
             if strip_whitespace and not text.strip():
                 continue
-            in_value = counter
-            counter += 1
-            out_value = counter
-            counter += 1
-            parent_in = stack[-1][0]
+            parent = stack[-1]
+            rows.append((counter, counter + 1, parent[0], schema.TEXT, text))
+            label_keys.append(schema.label_key(
+                schema.TEXT, schema.index_value(text), counter))
+            parent_keys.append(schema.parent_key(parent[0], counter))
+            counter += 2
             depth = len(stack)
-            stats.total_nodes += 1
-            stats.text_count += 1
-            stats.depth_sum += depth
-            stats.max_depth = max(stats.max_depth, depth)
+            texts += 1
+            depth_sum += depth
+            if depth > max_depth:
+                max_depth = depth
             stats.note_text_value(
-                stack[-1][2] if stack[-1][1] == schema.ELEMENT else "",
-                text)
-            yield (in_value, out_value, parent_in, schema.TEXT, text)
-        elif isinstance(event, (EndElement, EndDocument)):
-            in_value, node_type, value, parent_in = stack.pop()
-            out_value = counter
+                parent[4] if parent[3] == schema.ELEMENT else "", text)
+        elif kind is StartDocument:
+            row = [counter, 0, 0, schema.ROOT, ""]
+            parent_keys.append(schema.parent_key(0, counter))
             counter += 1
-            yield (in_value, out_value, parent_in, node_type, value)
+            rows.append(row)
+            stack.append(row)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected event {event!r}")
-    stats.max_in = counter - 1
     if stack:
         raise AssertionError("shredder finished with open nodes")
+    stats.total_nodes = len(rows)
+    stats.element_count, stats.text_count = elements, texts
+    stats.depth_sum, stats.max_depth = depth_sum, max_depth
+    stats.max_in = counter - 1
+    stats.build_histograms()
+    return ShreddedDocument(rows, label_keys, parent_keys, stats)
 
 
 def _encode_record(db: Database, in_: int, out: int, parent_in: int,
@@ -421,64 +448,50 @@ def _encode_record(db: Database, in_: int, out: int, parent_in: int,
         (in_, out, parent_in, node_type, 0, value))
 
 
+def store_document(db: Database, name: str, shredded: ShreddedDocument,
+                   bulk: bool = True) -> DocumentStatistics:
+    """Write a shredded document into ``db`` under ``name``: the
+    clustered primary B+-tree, the label and parent secondary indexes,
+    and the statistics entry.  Returns the statistics."""
+    if db.exists(schema.table_name(name)):
+        raise CatalogError(f"document {name!r} already loaded")
+    primary = db.create_btree(schema.table_name(name))
+    label_index = db.create_btree(schema.index_label_name(name))
+    parent_index = db.create_btree(schema.index_parent_name(name))
+    if bulk:
+        primary.bulk_load(
+            (schema.primary_key(in_),
+             _encode_record(db, in_, out, parent_in, node_type, value))
+            for in_, out, parent_in, node_type, value in shredded.rows)
+        label_index.bulk_load(
+            (key, b"") for key in sorted(shredded.label_keys))
+        parent_index.bulk_load(
+            (key, b"") for key in sorted(shredded.parent_keys))
+    else:
+        for in_, out, parent_in, node_type, value in sorted(
+                shredded.rows, key=itemgetter(1)):  # completion order
+            primary.insert(
+                schema.primary_key(in_),
+                _encode_record(db, in_, out, parent_in, node_type, value))
+        for key in shredded.label_keys:
+            label_index.insert(key, b"")
+        for key in shredded.parent_keys:
+            parent_index.insert(key, b"")
+    db.put_meta(schema.stats_name(name), shredded.stats.to_payload())
+    db.buffer_pool.flush()
+    return shredded.stats
+
+
 def load_document(db: Database, name: str, xml: str | None = None,
                   path: str | None = None,
                   events: Iterable[XmlEvent] | None = None,
                   strip_whitespace: bool = True,
                   bulk: bool = True) -> DocumentStatistics:
-    """Shred a document into ``db`` under ``name``.
-
-    Exactly one of ``xml`` (text), ``path`` (file) or ``events`` must be
-    given.  Creates the clustered primary B+-tree, the label and parent
-    secondary indexes, and the statistics entry.  Returns the statistics.
-    """
-    sources = [source for source in (xml, path, events) if source is not None]
-    if len(sources) != 1:
-        raise ValueError("pass exactly one of xml=, path=, events=")
-    if db.exists(schema.table_name(name)):
-        raise CatalogError(f"document {name!r} already loaded")
-    if xml is not None:
-        events = iterparse(xml)
-    elif path is not None:
-        events = iterparse_file(path)
-    assert events is not None
-
-    stats = DocumentStatistics()
-    primary = db.create_btree(schema.table_name(name))
-    label_index = db.create_btree(schema.index_label_name(name))
-    parent_index = db.create_btree(schema.index_parent_name(name))
-
-    tuples = shred(events, stats, strip_whitespace=strip_whitespace)
-    if bulk:
-        rows = sorted(tuples)  # ascending in
-        primary.bulk_load(
-            (schema.primary_key(in_),
-             _encode_record(db, in_, out, parent_in, node_type, value))
-            for in_, out, parent_in, node_type, value in rows)
-        label_keys = sorted(
-            schema.label_key(node_type, schema.index_value(value), in_)
-            for in_, __, __, node_type, value in rows
-            if node_type != schema.ROOT)
-        label_index.bulk_load((key, b"") for key in label_keys)
-        parent_keys = sorted(
-            schema.parent_key(parent_in, in_)
-            for in_, __, parent_in, __, __ in rows)
-        parent_index.bulk_load((key, b"") for key in parent_keys)
-    else:
-        for in_, out, parent_in, node_type, value in tuples:
-            record = _encode_record(db, in_, out, parent_in, node_type,
-                                    value)
-            primary.insert(schema.primary_key(in_), record)
-            if node_type != schema.ROOT:
-                label_index.insert(
-                    schema.label_key(node_type, schema.index_value(value),
-                                     in_), b"")
-            parent_index.insert(schema.parent_key(parent_in, in_), b"")
-
-    stats.build_histograms()
-    db.put_meta(schema.stats_name(name), stats.to_payload())
-    db.buffer_pool.flush()
-    return stats
+    """Shred a document (exactly one of ``xml``, ``path``, ``events``)
+    and store it in ``db`` under ``name``; returns its statistics."""
+    return store_document(
+        db, name, shred_document(xml, path, events, strip_whitespace),
+        bulk=bulk)
 
 
 def collect_value_entries(db: Database, name: str,

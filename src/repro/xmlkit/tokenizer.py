@@ -1,9 +1,16 @@
 """Streaming XML tokenizer.
 
-:func:`iterparse` turns XML text into a stream of
-:class:`~repro.xmlkit.events.XmlEvent` objects.  The tokenizer is a single
-forward pass with O(depth) memory, which is the property the paper's
-milestone 2 relies on ("does not require building the DOM tree").
+:func:`iterparse` turns XML text into a lazy stream of
+:class:`~repro.xmlkit.events.XmlEvent` objects in a single forward pass
+with O(depth) memory — the property the paper's milestone 2 relies on
+("does not require building the DOM tree").
+
+The scanner is driven by compiled patterns and ``str.find`` over the
+source string: one call consumes a whole tag head, attribute, text run,
+comment, PI or CDATA section, so the Python-level work is proportional
+to the number of *events*, not characters.  Line/column positions are
+derived from offsets on demand (newline counts between the offsets asked
+for), never tracked per character.
 
 The grammar implemented is the well-formed-document subset described in
 :mod:`repro.xmlkit`.
@@ -11,6 +18,7 @@ The grammar implemented is the well-formed-document subset described in
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 
 from repro.errors import XmlError
@@ -31,86 +39,62 @@ _PREDEFINED_ENTITIES = {
     "quot": '"',
 }
 
-_NAME_START_EXTRA = set("_:")
-_NAME_EXTRA = set("_:.-·")
-_WHITESPACE = set(" \t\r\n")
+#: Longest entity body quoted back in an error message.
+_ENTITY_ECHO_MAX = 32
+
+# ``\w`` is exactly ``str.isalnum() or "_"``.  A name's *first* character
+# must additionally satisfy ``str.isalpha() or in "_:"``, which no
+# character class expresses (``"²".isdigit()`` but not ``\d``), so
+# ``_valid_name`` checks it on the matched name.
+_NAME = r"([\w:.\-·]*)"
+_SPACE = r"[ \t\r\n]*"
+_TAG_HEAD = re.compile(f"{_NAME}{_SPACE}(/?>)?")       # after "<"
+_ATTRIBUTE_HEAD = re.compile(f"{_NAME}{_SPACE}(=)?{_SPACE}")
+_TAG_TAIL = re.compile(f"{_SPACE}(/?>)?")              # after a value
+_END_TAG = re.compile(f"</{_NAME}{_SPACE}(>)?")
+_TEXT_RUN = re.compile(r"[^<&]+")
+#: Per quote character: the run of an attribute value needing no work.
+_VALUE_RUN = {quote: re.compile(f"[^<&{quote}\t\n\r]*") for quote in "'\""}
+_DOCTYPE_STEP = re.compile(r"[^\[\]>]*([\[\]>])")
 
 
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA
+def _valid_name(name: str) -> bool:
+    return bool(name) and (name[0].isalpha() or name[0] in "_:")
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
+def _is_xml_char(code: int) -> bool:
+    """The XML 1.0 ``Char`` production."""
+    return (0x20 <= code <= 0xD7FF or code in (0x9, 0xA, 0xD)
+            or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF)
 
 
-class _Cursor:
-    """Position-tracking cursor over the source text."""
+class _Source:
+    """The source text plus on-demand offset → (line, column) mapping.
 
-    __slots__ = ("text", "pos", "line", "column")
+    Positions must be requested in non-decreasing offset order (the
+    scanner only moves forward), which keeps the mapping linear overall:
+    each call counts the newlines since the previous one.
+    """
+
+    __slots__ = ("text", "_seen", "_line", "_line_start")
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        self._seen = 0        # offset of the latest position request
+        self._line = 1
+        self._line_start = 0  # offset just past the last newline seen
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
+    def locate(self, pos: int) -> tuple[int, int]:
+        """1-based (line, column) of offset ``pos``."""
+        newline = self.text.rfind("\n", self._seen, pos)
+        if newline >= 0:
+            self._line += self.text.count("\n", self._seen, pos)
+            self._line_start = newline + 1
+        self._seen = pos
+        return self._line, pos - self._line_start + 1
 
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.text):
-            return ""
-        return self.text[index]
-
-    def startswith(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
-
-    def advance(self, count: int = 1) -> str:
-        """Consume ``count`` characters, updating line/column."""
-        consumed = self.text[self.pos:self.pos + count]
-        for ch in consumed:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return consumed
-
-    def error(self, message: str) -> XmlError:
-        return XmlError(message, self.line, self.column)
-
-
-def _skip_whitespace(cur: _Cursor) -> None:
-    while not cur.at_end() and cur.peek() in _WHITESPACE:
-        cur.advance()
-
-
-def _read_name(cur: _Cursor) -> str:
-    if cur.at_end() or not _is_name_start(cur.peek()):
-        raise cur.error(f"expected a name, found {cur.peek()!r}")
-    start = cur.pos
-    cur.advance()
-    while not cur.at_end() and _is_name_char(cur.peek()):
-        cur.advance()
-    return cur.text[start:cur.pos]
-
-
-def _expect(cur: _Cursor, literal: str) -> None:
-    if not cur.startswith(literal):
-        raise cur.error(f"expected {literal!r}")
-    cur.advance(len(literal))
-
-
-def _read_until(cur: _Cursor, terminator: str, what: str) -> str:
-    end = cur.text.find(terminator, cur.pos)
-    if end < 0:
-        raise cur.error(f"unterminated {what}")
-    content = cur.text[cur.pos:end]
-    cur.advance(end - cur.pos + len(terminator))
-    return content
+    def error(self, message: str, pos: int) -> XmlError:
+        return XmlError(message, *self.locate(pos))
 
 
 def _normalize_line_endings(text: str) -> str:
@@ -123,82 +107,117 @@ def _normalize_line_endings(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _resolve_entity(cur: _Cursor, body: str) -> str:
-    """Resolve the body of ``&body;`` into its character."""
-    if body.startswith("#x") or body.startswith("#X"):
-        try:
-            return chr(int(body[2:], 16))
-        except ValueError:
-            raise cur.error(
-                f"bad hexadecimal character reference &{body};") from None
-    if body.startswith("#"):
-        try:
-            return chr(int(body[1:], 10))
-        except ValueError:
-            raise cur.error(
-                f"bad decimal character reference &{body};") from None
+def _read_entity(src: _Source, pos: int) -> tuple[str, int]:
+    """Resolve the reference whose ``&`` is at ``pos``; returns the
+    character and the offset after the ``;``."""
+    end = src.text.find(";", pos + 1)
+    if end < 0:
+        raise src.error("unterminated entity reference", pos + 1)
+    body = src.text[pos + 1:end]
+    end += 1
+    predefined = _PREDEFINED_ENTITIES.get(body)
+    if predefined is not None:
+        return predefined, end
+    echo = body
+    if len(echo) > _ENTITY_ECHO_MAX:
+        echo = echo[:_ENTITY_ECHO_MAX] + "..."
+    if not body.startswith("#"):
+        raise src.error(f"unknown entity &{echo};", end)
+    if body[1:2] in ("x", "X"):
+        digits, base, kind = body[2:], 16, "hexadecimal"
+    else:
+        digits, base, kind = body[1:], 10, "decimal"
     try:
-        return _PREDEFINED_ENTITIES[body]
-    except KeyError:
-        raise cur.error(f"unknown entity &{body};") from None
+        code = int(digits, base)
+        char = chr(code)
+    except (ValueError, OverflowError):
+        raise src.error(
+            f"bad {kind} character reference &{echo};", end) from None
+    if not _is_xml_char(code):
+        raise src.error(f"character reference &{echo}; is not a legal "
+                        "XML character", end)
+    return char, end
 
 
-def _read_attribute_value(cur: _Cursor) -> str:
-    quote = cur.peek()
+def _read_attribute_value(src: _Source, pos: int) -> tuple[str, int]:
+    """Read the quoted value starting at ``pos``; returns it and the
+    offset after the closing quote."""
+    text = src.text
+    quote = text[pos:pos + 1]
     if quote not in ("'", '"'):
-        raise cur.error("attribute value must be quoted")
-    cur.advance()
+        raise src.error("attribute value must be quoted", pos)
+    run = _VALUE_RUN[quote]
     parts: list[str] = []
+    pos += 1
     while True:
-        if cur.at_end():
-            raise cur.error("unterminated attribute value")
-        ch = cur.peek()
+        match = run.match(text, pos)
+        parts.append(match.group())
+        pos = match.end()
+        ch = text[pos:pos + 1]
         if ch == quote:
-            cur.advance()
-            return "".join(parts)
+            return "".join(parts), pos + 1
+        if not ch:
+            raise src.error("unterminated attribute value", pos)
         if ch == "<":
-            raise cur.error("'<' not allowed in attribute value")
+            raise src.error("'<' not allowed in attribute value", pos)
         if ch == "&":
-            cur.advance()
-            body = _read_until(cur, ";", "entity reference")
             # Characters from references are exempt from normalization.
-            parts.append(_resolve_entity(cur, body))
-        elif ch in "\t\n\r":
+            char, pos = _read_entity(src, pos)
+            parts.append(char)
+        else:
             # Attribute-value normalization: literal whitespace becomes
             # a space (an \r\n pair one space, after line-ending
             # normalization).  The serializer writes these characters as
             # references, which survive.
-            cur.advance()
-            if ch == "\r" and cur.peek() == "\n":
-                cur.advance()
+            pos += 2 if text.startswith("\r\n", pos) else 1
             parts.append(" ")
-        else:
-            parts.append(cur.advance())
 
 
-def _read_tag(cur: _Cursor) -> tuple[str, tuple[tuple[str, str], ...], bool]:
-    """Parse an opening tag after the ``<``; returns (name, attrs, empty)."""
-    name = _read_name(cur)
+def _read_attributes(src: _Source, name: str, pos: int
+                     ) -> tuple[tuple[tuple[str, str], ...], str, int]:
+    """Read attributes up to the end of start tag ``<name``; returns
+    (attributes, ``">"`` or ``"/>"``, offset after the tag)."""
+    text = src.text
     attributes: list[tuple[str, str]] = []
     seen: set[str] = set()
     while True:
-        _skip_whitespace(cur)
-        if cur.at_end():
-            raise cur.error(f"unterminated start tag <{name}")
-        if cur.startswith("/>"):
-            cur.advance(2)
-            return name, tuple(attributes), True
-        if cur.peek() == ">":
-            cur.advance()
-            return name, tuple(attributes), False
-        attr_name = _read_name(cur)
+        if pos >= len(text):
+            raise src.error(f"unterminated start tag <{name}", pos)
+        head = _ATTRIBUTE_HEAD.match(text, pos)
+        attr_name = head.group(1)
+        if not _valid_name(attr_name):
+            raise src.error(
+                f"expected a name, found {text[pos:pos + 1]!r}", pos)
         if attr_name in seen:
-            raise cur.error(f"duplicate attribute {attr_name!r}")
+            raise src.error(f"duplicate attribute {attr_name!r}",
+                            head.end(1))
         seen.add(attr_name)
-        _skip_whitespace(cur)
-        _expect(cur, "=")
-        _skip_whitespace(cur)
-        attributes.append((attr_name, _read_attribute_value(cur)))
+        if head.group(2) is None:
+            raise src.error("expected '='", head.end())
+        value, pos = _read_attribute_value(src, head.end())
+        attributes.append((attr_name, value))
+        tail = _TAG_TAIL.match(text, pos)
+        pos = tail.end()
+        if tail.group(1):
+            return tuple(attributes), tail.group(1), pos
+
+
+def _skip_doctype(src: _Source, pos: int) -> int:
+    """Skip to the ``>`` matching ``<!DOCTYPE``, allowing one
+    internal-subset bracket pair; full DTD parsing is out of scope."""
+    depth = 0
+    while True:
+        step = _DOCTYPE_STEP.match(src.text, pos)
+        if step is None:
+            raise src.error("unterminated DOCTYPE", len(src.text))
+        pos = step.end()
+        delimiter = step.group(1)
+        if delimiter == "[":
+            depth += 1
+        elif delimiter == "]":
+            depth -= 1
+        elif depth <= 0:
+            return pos
 
 
 def iterparse(text: str) -> Iterator[XmlEvent]:
@@ -208,73 +227,52 @@ def iterparse(text: str) -> Iterator[XmlEvent]:
     :class:`EndDocument`.  Raises :class:`~repro.errors.XmlError` on
     malformed input, including unbalanced tags and trailing garbage.
     """
-    cur = _Cursor(text)
-    yield StartDocument(line=cur.line, column=cur.column)
+    src = _Source(text)
+    locate = src.locate
+    length = len(text)
+    yield StartDocument(line=1, column=1)
 
     open_tags: list[str] = []
     seen_root = False
-    pending_text: list[str] = []
-    pending_pos: tuple[int, int] | None = None
+    # Adjacent text, references and CDATA coalesce into one Characters
+    # event positioned at the first piece; only kept inside the root.
+    pending: list[str] = []
+    pending_at = (0, 0)
 
-    def flush_text() -> Iterator[Characters]:
-        nonlocal pending_pos
-        if pending_text:
-            content = "".join(pending_text)
-            pending_text.clear()
-            line, column = pending_pos or (cur.line, cur.column)
-            pending_pos = None
-            if open_tags:
-                yield Characters(content, line=line, column=column)
-            elif content.strip():
-                raise XmlError("text content outside the root element",
-                               line, column)
+    def skip_past(terminator: str, start: int, what: str) -> int:
+        end = text.find(terminator, start)
+        if end < 0:
+            raise src.error(f"unterminated {what}", start)
+        return end + len(terminator)
 
-    while not cur.at_end():
-        ch = cur.peek()
+    pos = 0
+    while pos < length:
+        ch = text[pos]
         if ch == "<":
-            if cur.startswith("<?"):
-                yield from flush_text()
-                cur.advance(2)
-                _read_until(cur, "?>", "processing instruction")
-                continue
-            if cur.startswith("<!--"):
-                yield from flush_text()
-                cur.advance(4)
-                _read_until(cur, "-->", "comment")
-                continue
-            if cur.startswith("<![CDATA["):
+            marker = text[pos + 1:pos + 2]
+            if marker == "!" and text.startswith("<![CDATA[", pos):
                 if not open_tags:
-                    raise cur.error("CDATA outside the root element")
-                if pending_pos is None:
-                    pending_pos = (cur.line, cur.column)
-                cur.advance(9)
-                cdata = _read_until(cur, "]]>", "CDATA section")
-                pending_text.append(_normalize_line_endings(cdata))
+                    raise src.error("CDATA outside the root element", pos)
+                if not pending:
+                    pending_at = locate(pos)
+                start = pos + 9
+                pos = skip_past("]]>", start, "CDATA section")
+                pending.append(_normalize_line_endings(text[start:pos - 3]))
                 continue
-            if cur.startswith("<!DOCTYPE"):
-                yield from flush_text()
-                cur.advance(9)
-                # Skip to the matching '>' allowing one internal-subset
-                # bracket pair; full DTD parsing is out of scope.
-                depth = 0
-                while not cur.at_end():
-                    c = cur.advance()
-                    if c == "[":
-                        depth += 1
-                    elif c == "]":
-                        depth -= 1
-                    elif c == ">" and depth <= 0:
-                        break
-                else:
-                    raise cur.error("unterminated DOCTYPE")
-                continue
-            if cur.startswith("</"):
-                yield from flush_text()
-                line, column = cur.line, cur.column
-                cur.advance(2)
-                name = _read_name(cur)
-                _skip_whitespace(cur)
-                _expect(cur, ">")
+            # Any other markup ends the current text run.
+            if pending:
+                yield Characters("".join(pending), line=pending_at[0],
+                                 column=pending_at[1])
+                pending.clear()
+            if marker == "/":
+                line, column = locate(pos)
+                tag = _END_TAG.match(text, pos)
+                name = tag.group(1)
+                if not _valid_name(name):
+                    raise src.error("expected a name, found "
+                                    f"{text[pos + 2:pos + 3]!r}", pos + 2)
+                if tag.group(2) is None:
+                    raise src.error("expected '>'", tag.end())
                 if not open_tags:
                     raise XmlError(f"closing tag </{name}> with no open "
                                    "element", line, column)
@@ -282,21 +280,38 @@ def iterparse(text: str) -> Iterator[XmlEvent]:
                 if name != expected:
                     raise XmlError(f"mismatched closing tag </{name}>, "
                                    f"expected </{expected}>", line, column)
+                pos = tag.end()
                 yield EndElement(name, line=line, column=column)
                 if not open_tags:
                     seen_root = True
                 continue
+            if marker == "?":
+                pos = skip_past("?>", pos + 2, "processing instruction")
+                continue
+            if marker == "!":
+                if text.startswith("<!--", pos):
+                    pos = skip_past("-->", pos + 4, "comment")
+                    continue
+                if text.startswith("<!DOCTYPE", pos):
+                    pos = _skip_doctype(src, pos + 9)
+                    continue
             # Plain start tag.
-            yield from flush_text()
-            line, column = cur.line, cur.column
-            cur.advance()
-            if open_tags and not _is_name_start(cur.peek()):
-                raise cur.error("malformed markup")
+            line, column = locate(pos)
+            head = _TAG_HEAD.match(text, pos + 1)
+            name = head.group(1)
             if not open_tags and seen_root:
                 raise XmlError("multiple root elements", line, column)
-            name, attributes, empty = _read_tag(cur)
+            if not _valid_name(name):
+                raise src.error(
+                    "malformed markup" if open_tags else
+                    f"expected a name, found {marker!r}", pos + 1)
+            close = head.group(2)
+            pos = head.end()
+            attributes: tuple[tuple[str, str], ...] = ()
+            if close is None:
+                attributes, close, pos = _read_attributes(src, name, pos)
             yield StartElement(name, attributes, line=line, column=column)
-            if empty:
+            if close == "/>":
                 yield EndElement(name, line=line, column=column)
                 if not open_tags:
                     seen_root = True
@@ -304,37 +319,33 @@ def iterparse(text: str) -> Iterator[XmlEvent]:
                 open_tags.append(name)
         elif ch == "&":
             if not open_tags:
-                raise cur.error("entity reference outside the root element")
-            if pending_pos is None:
-                pending_pos = (cur.line, cur.column)
-            cur.advance()
-            body = _read_until(cur, ";", "entity reference")
-            pending_text.append(_resolve_entity(cur, body))
+                raise src.error("entity reference outside the root element",
+                                pos)
+            if not pending:
+                pending_at = locate(pos)
+            char, pos = _read_entity(src, pos)
+            pending.append(char)
         else:
-            if pending_pos is None:
-                pending_pos = (cur.line, cur.column)
-            start = cur.pos
-            while (not cur.at_end()
-                   and cur.peek() != "<" and cur.peek() != "&"):
-                cur.advance()
-            chunk = _normalize_line_endings(cur.text[start:cur.pos])
-            pending_text.append(chunk)
+            end = _TEXT_RUN.match(text, pos).end()
+            chunk = text[pos:end]
             if open_tags:
-                pass
+                if not pending:
+                    pending_at = locate(pos)
+                pending.append(_normalize_line_endings(chunk))
             elif chunk.strip():
-                raise XmlError("text content outside the root element",
-                               *(pending_pos or (cur.line, cur.column)))
-            if not open_tags and seen_root:
-                # Whitespace after the root is fine; drop it.
-                pending_text.clear()
-                pending_pos = None
+                # Whitespace around the root is fine and dropped.
+                raise src.error("text content outside the root element", pos)
+            pos = end
 
-    yield from flush_text()
+    if pending:
+        yield Characters("".join(pending), line=pending_at[0],
+                         column=pending_at[1])
     if open_tags:
-        raise cur.error(f"unclosed element <{open_tags[-1]}>")
+        raise src.error(f"unclosed element <{open_tags[-1]}>", length)
     if not seen_root:
-        raise cur.error("document has no root element")
-    yield EndDocument(line=cur.line, column=cur.column)
+        raise src.error("document has no root element", length)
+    line, column = locate(length)
+    yield EndDocument(line=line, column=column)
 
 
 def iterparse_file(path: str) -> Iterator[XmlEvent]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,19 @@ class TestMain:
         out = capsys.readouterr().out
         assert "WARN suite.new_metric" in out
         assert "no committed floor" in out
+
+
+def test_every_gated_suite_has_a_committed_floor():
+    """A BENCH file the CI gate checks but baseline.json has no floor
+    for would only ever WARN — e.g. ``BENCH_loader.json`` without its
+    ``loader.*`` floor."""
+    root = _SCRIPT.parent.parent
+    workflow = (root / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8")
+    gate = workflow[workflow.index("check_regression.py"):]
+    suites = set(re.findall(r"BENCH_(\w+)\.json", gate))
+    floors = json.loads((root / "benchmarks" / "baseline.json").read_text(
+        encoding="utf-8"))["metrics"]
+    assert "loader" in suites
+    for suite in suites:
+        assert any(name.startswith(f"{suite}.") for name in floors), suite

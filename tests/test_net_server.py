@@ -34,6 +34,7 @@ from repro.errors import (
     ResourceLimitExceeded,
     ServerError,
     UpdateError,
+    XmlError,
     XQSyntaxError,
 )
 from repro.net import NetClient, NetworkServer
@@ -173,6 +174,22 @@ class TestTypedFailures:
         with pytest.raises(CatalogError):
             client.query("nope", "/r/item")
         assert client.query("doc", "/r/item").startswith("<item>v0</item>")
+
+    @pytest.mark.parametrize("xml", ["<r><item>v0</item>",
+                                     "<r>&#xD800;</r>"])
+    def test_failed_load_is_typed_and_leaves_the_catalog_alone(
+            self, server, client, xml):
+        """Fresh name or replacement, a malformed LOAD registers and
+        destroys nothing on the server."""
+        catalog = server.dbms.db.list_names()
+        for name in ("fresh", "doc"):
+            with pytest.raises(XmlError):
+                client.load(name, xml)
+        assert server.dbms.db.list_names() == catalog
+        assert server.dbms.documents() == ["doc"]
+        assert client.query("doc", "/r/item").startswith("<item>v0</item>")
+        client.load("fresh", "<r><item>ok</item></r>")
+        assert client.query("fresh", "/r/item") == "<item>ok</item>"
 
     def test_admission_error_reaches_client_and_server_stays_up(
             self, tmp_path):

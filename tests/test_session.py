@@ -180,6 +180,47 @@ class TestStaleEngineRegression:
         assert fig2.query("fig2", "//name") == \
             "<name>Ana</name><name>Bob</name>"
 
+    @pytest.mark.parametrize("xml", [
+        "<a><b>x</b>", "<a>&#xD800;</a>", "<a k='&#0;'/>"])
+    def test_failed_first_load_leaves_no_phantom_document(self, fig2, xml):
+        """Shredding validates the whole input before any tree exists:
+        a failed load of a *fresh* name registers nothing."""
+        from repro.errors import XmlError
+        from repro.xasr import schema
+
+        catalog = fig2.db.list_names()
+        with pytest.raises(XmlError):
+            fig2.load("fresh", xml=xml)
+        assert fig2.documents() == ["fig2"]
+        assert fig2.db.list_names() == catalog
+        assert not fig2.db.exists(schema.table_name("fresh"))
+        fig2.load("fresh", xml="<a><b>x</b></a>")
+        assert fig2.query("fresh", "//b") == "<b>x</b>"
+
+    def test_non_char_replacement_preserves_old_document(self, fig2):
+        from repro.errors import XmlError
+
+        with pytest.raises(XmlError):
+            fig2.load("fig2", xml="<journal>&#xFFFE;</journal>")
+        assert fig2.query("fig2", "//name") == \
+            "<name>Ana</name><name>Bob</name>"
+
+    def test_load_tokenises_its_input_exactly_once(self, fig2,
+                                                   monkeypatch):
+        """A replacement used to parse twice (validate, then load)."""
+        from repro.xasr import loader
+
+        runs = []
+        tokenize = loader.iterparse
+        monkeypatch.setattr(
+            loader, "iterparse",
+            lambda text: runs.append(text) or tokenize(text))
+        fig2.load("other", xml="<a>first</a>")
+        assert len(runs) == 1
+        fig2.load("other", xml="<a>second</a>")  # a replacement
+        assert len(runs) == 2
+        assert fig2.query("other", "/a") == "<a>second</a>"
+
     def test_held_prepared_query_sees_reload(self, fig2):
         """A PreparedQuery prepared before a reload re-prepares itself
         instead of serving results from the replaced document."""

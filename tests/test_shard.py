@@ -172,6 +172,45 @@ def test_partitioned_load_and_merge(cluster):
         f"<item>v{i}</item>" for i in range(50)]
 
 
+def test_failed_partitioned_load_keeps_previous_catalog_entry(cluster):
+    """Chunks load in parallel and the catalog entry is published only
+    after every shard acknowledged: one dead member fails the load
+    typed and the name still resolves to its previous placement."""
+    med = cluster.mediator
+    med.load("big", xml=items_xml(30))  # whole, on one shard
+    before = med.documents()
+    loads = med.stats().loads
+    cluster.servers[SHARDS - 1].stop()
+    with pytest.raises(ShardUnavailableError) as info:
+        med.load("big", xml=items_xml(31), parts=SHARDS)
+    assert info.value.shard == SHARDS - 1
+    assert med.documents() == before
+    assert med.stats().loads == loads
+    with pytest.raises(ShardUnavailableError):
+        med.load("new", xml=items_xml(31), parts=SHARDS)
+    assert "new" not in med.documents()
+
+
+def test_partitioned_load_places_every_chunk_concurrently(cluster):
+    """All chunk LOADs are in flight together: each member's load
+    blocks until every member has received its own."""
+    arrived = threading.Barrier(SHARDS, timeout=10)
+    for dbms in cluster.dbs:
+        load = dbms.load
+
+        def rendezvous(name, *args, _load=load, **kwargs):
+            arrived.wait()
+            return _load(name, *args, **kwargs)
+
+        dbms.load = rendezvous
+    med = cluster.mediator
+    assert med.load("big", xml=items_xml(30), parts=SHARDS) == \
+        tuple(range(SHARDS))
+    assert not arrived.broken
+    assert med.execute("big", "/r/item") == [
+        f"<item>v{i}</item>" for i in range(30)]
+
+
 def test_partitioned_update_rejected(cluster):
     med = cluster.mediator
     med.load("big", xml=items_xml(10), parts=2)

@@ -1,6 +1,7 @@
 """B+-tree tests: lookups, splits, range scans, bulk load, persistence."""
 
 import random
+import sys
 
 import pytest
 
@@ -166,6 +167,123 @@ class TestBulkLoad:
         scanned = [key for key, __ in tree.items()]
         assert scanned == sorted(scanned)
         assert tree.search(k(51)) == b"new"
+
+
+def reference_pack(items, page_size, fill_factor):
+    """The bulk-load packing rule, written naively: every fit test
+    re-measures the whole node with the on-disk size formula.  Returns
+    the levels bottom-up, each a list of ``(first_key, member_keys)``."""
+    capacity = int(page_size * fill_factor)
+
+    def leaf_size(entries):
+        return 3 + 4 + sum(4 + len(key) + len(value)
+                           for key, value in entries)
+
+    def internal_size(keys):
+        return 3 + 4 * (len(keys) + 1) + sum(2 + len(key) for key in keys)
+
+    leaves = [[]]
+    for key, value in items:
+        if leaves[-1] and (leaf_size(leaves[-1]) + 4 + len(key)
+                           + len(value) > capacity):
+            leaves.append([])
+        leaves[-1].append((key, value))
+    level = [(leaf[0][0] if leaf else b"", [key for key, __ in leaf])
+             for leaf in leaves]
+    levels = [level]
+    while len(level) > 1:
+        parents = []
+        index = 0
+        while index < len(level):
+            first_key, keys = level[index][0], []
+            index += 1
+            while index < len(level) and (
+                    internal_size(keys) + 2 + len(level[index][0]) + 4
+                    <= capacity):
+                keys.append(level[index][0])
+                index += 1
+            parents.append((first_key, keys))
+        levels.append(parents)
+        level = parents
+    return levels
+
+
+def tree_levels(tree):
+    """The stored tree in :func:`reference_pack`'s shape (node keys per
+    level, bottom-up), read back through the node layer."""
+    levels = []
+    nodes = [tree._read_node(tree.root_page_id)]
+    while True:
+        levels.append([list(node.keys) for node in nodes])
+        if nodes[0].is_leaf:
+            return levels[::-1]
+        nodes = [tree._read_node(child)
+                 for node in nodes for child in node.children]
+
+
+class TestBulkLoadIsLinearAndLayoutPreserving:
+    @pytest.fixture
+    def make_tree(self, tmp_path):
+        opened = []
+
+        def make(page_size):
+            pager = Pager(str(tmp_path / f"bulk{len(opened)}.db"),
+                          create=True, page_size=page_size)
+            pool = BufferPool(pager, capacity=4096)
+            opened.append((pool, pager))
+            return BTree.create(pool)
+
+        yield make
+        for pool, pager in opened:
+            pool.flush_and_clear()
+            pager.close()
+
+    @staticmethod
+    def entries(count, seed=3):
+        rng = random.Random(seed)
+        return [(encode_key((key, "x" * rng.randrange(12))),
+                 b"v" * rng.randrange(40)) for key in range(count)]
+
+    def test_node_layer_work_is_per_page_not_per_entry(self, make_tree):
+        """Python calls into btree.py during a bulk load are bounded by
+        the page count: nothing re-measures a node per appended entry
+        (the parent made 20 000+ ``serialized_size`` walks here)."""
+        tree = make_tree(4096)
+        items = self.entries(20_000)
+        calls = 0
+
+        def count_btree_calls(frame, event, arg):
+            nonlocal calls
+            if event == "call" and \
+                    frame.f_code.co_filename.endswith("btree.py"):
+                calls += 1
+
+        sys.setprofile(count_btree_calls)
+        try:
+            tree.bulk_load(iter(items))
+        finally:
+            sys.setprofile(None)
+        pages = sum(len(level) for level in tree_levels(tree))
+        assert len(tree) == 20_000
+        assert pages < 20_000 / 20
+        assert calls <= 12 * pages + 20, (calls, pages)
+
+    @pytest.mark.parametrize("page_size", [256, 4096])
+    @pytest.mark.parametrize("fill_factor", [0.9, 0.5])
+    def test_layout_equals_the_naive_packer(self, make_tree, page_size,
+                                            fill_factor):
+        tree = make_tree(page_size)
+        items = self.entries(20_000)
+        tree.bulk_load(iter(items), fill_factor=fill_factor)
+        expected = reference_pack(items, page_size, fill_factor)
+        stored = tree_levels(tree)
+        assert tree.entry_count == 20_000
+        assert tree.height == len(expected)
+        assert tree.leaf_page_count() == len(expected[0])
+        assert [keys[0] for keys in stored[0]] == \
+            [first for first, __ in expected[0]]
+        assert stored == [[keys for __, keys in level]
+                          for level in expected]
 
 
 class TestPersistence:
