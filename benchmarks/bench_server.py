@@ -12,10 +12,10 @@ The regression-gated metric is the ratio:
 
 * ``server.network_efficiency_16`` — wire throughput at 16 clients over
   in-process throughput at 16 clients.  It prices everything the front
-  door adds: framing, JSON, the asyncio loop, executor hops and
-  per-page round trips.  The acceptance bar demands the network layer
-  keep at least ~a third of in-process throughput at smoke scale; the
-  committed baseline carries the real floor.
+  door adds: framing, JSON, a connection thread's hand-off to the
+  worker and per-page round trips.  The acceptance bar demands the
+  network layer keep at least ~a third of in-process throughput at
+  smoke scale; the committed baseline carries the real floor.
 
 Results land in ``BENCH_server.json``.
 """

@@ -2,9 +2,8 @@
 
 The serving stack's correctness rests on conventions that ordinary
 linters cannot see: a declared latch hierarchy, ``# guarded by:``
-field annotations, an async front door that must never block its event
-loop, a wire-error taxonomy that must stay registered, and
-charge/release style resource pairing.  This package checks those
+field annotations, a wire-error taxonomy that must stay registered,
+and charge/release style resource pairing.  This package checks those
 conventions with nothing but the standard library's ``ast`` module —
 no type inference, no new dependencies — and is wired into CI as
 ``python -m repro.analysis --baseline analysis-baseline.json``.
@@ -19,7 +18,8 @@ Layout:
 * :mod:`repro.analysis.config` — the declared lock hierarchy (checked
   against the code: a declared lock that no longer matches any
   acquisition is itself an error).
-* :mod:`repro.analysis.rules` — the rule implementations (RL001-RL005).
+* :mod:`repro.analysis.rules` — the rule implementations (RL001, RL002,
+  RL004, RL005).
 * :mod:`repro.analysis.baseline` — the committed-findings ratchet.
 
 See ``docs/static-analysis.md`` for the rule catalog and conventions.

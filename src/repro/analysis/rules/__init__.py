@@ -9,7 +9,6 @@ the caller (:func:`repro.analysis.analyze_modules`), not by the rules.
 from __future__ import annotations
 
 from repro.analysis.rules import (
-    async_blocking,
     guarded_by,
     lock_order,
     resource_pairing,
@@ -20,8 +19,7 @@ from repro.analysis.rules import (
 ALL_RULES = tuple(
     (module.RULE, module.TITLE, module.check)
     for module in sorted(
-        (lock_order, guarded_by, async_blocking, wire_taxonomy,
-         resource_pairing),
+        (lock_order, guarded_by, wire_taxonomy, resource_pairing),
         key=lambda module: module.RULE)
 )
 

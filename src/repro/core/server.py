@@ -238,13 +238,11 @@ class QueryService(Protocol):
 
     ``submit_stream`` must not block (admission is synchronous, the
     work is not) and ``submit`` is how updating statements run;
-    ``stats()`` returns a dataclass, ``metrics_registry`` is the
-    registry the front end joins, and ``io_slots`` says how many
-    blocking waits (page fetches, loads) it should expect at once.
+    ``stats()`` returns a dataclass and ``metrics_registry`` is the
+    registry the front end joins.
     """
 
     metrics_registry: MetricsRegistry
-    io_slots: int
 
     def submit_stream(self, document: str, query, bindings=None, *,
                       serialize: bool, page_size: int,
@@ -325,7 +323,6 @@ class QueryServer(QueryService):
         self.metrics_registry.register(
             "server", lambda: dataclasses.asdict(self.stats()))
         self.metrics_registry.register("storage", self._storage_metrics)
-        self.io_slots = workers
         self._workers = [
             threading.Thread(target=self._worker_loop,
                              name=f"query-server-worker-{index}",

@@ -1,4 +1,4 @@
-"""The network front door: wire protocol, asyncio server, client.
+"""The network front door: wire protocol, threaded server, client.
 
 This package puts the in-process serving layer
 (:class:`~repro.core.server.QueryServer`) behind a TCP socket:
@@ -7,9 +7,9 @@ This package puts the in-process serving layer
   and the typed message vocabulary (HELLO, PREPARE, EXECUTE, FETCH,
   UPDATE, CLOSE, STATS, ERROR), including the mapping that carries the
   library's exception taxonomy across the wire;
-* :mod:`repro.net.server` — an asyncio front end owning connection
-  lifecycle and per-connection statement/cursor tables, bridging the
-  event loop to the threaded worker pool;
+* :mod:`repro.net.server` — a thread-per-connection front end owning
+  connection lifecycle and per-connection statement/cursor tables in
+  front of the worker pool;
 * :mod:`repro.net.client` — a blocking client library used by the
   tests, examples and benchmarks;
 * :mod:`repro.net.pool` — a reconnecting connection pool, the building

@@ -157,8 +157,7 @@ def decode_body(body: bytes) -> tuple[MsgKind, dict]:
 class FrameDecoder:
     """Incremental decoder: feed bytes, iterate complete frames.
 
-    Used by both endpoints — the asyncio server feeds whatever the
-    transport delivers, the blocking client feeds ``recv`` chunks — so
+    Used by both endpoints, each feeding it ``recv`` chunks, so
     frames split or coalesced arbitrarily by TCP reassemble here.
     Raises :class:`~repro.errors.ProtocolError` as soon as the stream
     is provably broken (zero or oversized length prefix, unknown kind,

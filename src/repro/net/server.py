@@ -1,15 +1,13 @@
-"""The asyncio front end: TCP connections feeding the worker pool.
+"""The blocking front end: one thread per TCP connection.
 
-One :class:`NetworkServer` owns an asyncio event loop serving any
-number of connections, and bridges them to a *threaded*
-:class:`~repro.core.server.QueryService` — a local
-:class:`~repro.core.server.QueryServer` or the shard mediator:
-
-* cheap control operations (admission, statement bookkeeping) run
-  directly on the loop — ``submit``/``submit_stream`` never block;
-* blocking waits (a stream's next page, an update's result) hop to a
-  thread pool via ``run_in_executor`` / ``asyncio.wrap_future``, so a
-  slow query stalls only its own connection, never the loop.
+One :class:`NetworkServer` owns a listening socket, an accept thread
+and one ``repro-net-conn`` thread per connection, and serves a
+*threaded* :class:`~repro.core.server.QueryService` — a local
+:class:`~repro.core.server.QueryServer` or the shard mediator.  The
+protocol is strict request/response, so a connection thread reads a
+frame, does the work inline (waiting, if it must, for a stream's next
+page or an update's result) and ``sendall``s the reply; a slow query
+or a stalled peer occupies only its own thread.
 
 Deadlines and load shedding come from the admission-control machinery
 underneath: an EXECUTE that overruns ``max_pending`` fails with a typed
@@ -28,23 +26,20 @@ that vanished, so disconnects can never leak cursors or workers.
 Observability: every query that reaches EXECUTE gets a per-query record
 (rows, bytes, wall latency, plan-cache hit, outcome), aggregated into a
 latency histogram and counters exposed through the STATS message — next
-to the served layer's own ``stats()`` — and
-summarized by a periodic structured log line on the ``repro.net``
-logger.
+to the served layer's own ``stats()`` — and summarized by a periodic
+structured log line on the ``repro.net`` logger.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import dataclasses
 import json
 import logging
-import struct
+import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.server import (
     DEFAULT_MAX_BUFFERED_PAGES,
@@ -58,16 +53,14 @@ from repro.obs import LatencyHistogram, SlowQueryLog, TraceContext
 from repro.net.protocol import (
     MAX_FRAME,
     PROTOCOL_VERSION,
+    FrameDecoder,
     MsgKind,
-    decode_body,
     encode_error,
     encode_frame,
 )
 from repro.xq.parser import parse_program
 
 logger = logging.getLogger("repro.net")
-
-_HEADER = struct.Struct("!I")
 
 #: Seconds a fresh connection gets to complete the HELLO handshake.
 HANDSHAKE_TIMEOUT = 10.0
@@ -76,8 +69,8 @@ HANDSHAKE_TIMEOUT = 10.0
 class _NetMetrics:
     """Network-layer counters and per-query records.
 
-    Locked because STATS snapshots may be read from outside the event
-    loop (tests, the owner's thread) while the loop is recording.
+    Locked because every connection thread records here while STATS
+    snapshots are read from any of them (or the owner's thread).
     """
 
     def __init__(self, recent_capacity: int = 256):
@@ -136,50 +129,46 @@ class _NetMetrics:
 
 
 class _Connection:
-    """One client connection: handshake, dispatch loop, cleanup."""
+    """One client connection: handshake, dispatch loop, cleanup — all
+    on the connection's own thread, except :meth:`abort`."""
 
-    def __init__(self, server: "NetworkServer",
-                 reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
+    def __init__(self, server: "NetworkServer", sock: socket.socket):
         self.server = server
-        self.reader = reader
-        self.writer = writer
+        self.sock = sock
+        self.decoder = FrameDecoder(max_frame=server.max_frame)
         self.statements: dict[int, tuple[str, object]] = {}
         self.cursors: dict[int, dict] = {}
         self._next_id = 1
 
     # -- framing -------------------------------------------------------------
 
-    async def _read_frame(self) -> tuple[MsgKind, dict]:
-        header = await self.reader.readexactly(_HEADER.size)
-        (length,) = _HEADER.unpack(header)
-        if length == 0:
-            raise ProtocolError("zero-length frame")
-        if length > self.server.max_frame:
-            raise ProtocolError(
-                f"frame of {length} bytes exceeds the "
-                f"{self.server.max_frame}-byte limit")
-        body = await self.reader.readexactly(length)
-        self.server.metrics.count("bytes_received",
-                                  _HEADER.size + length)
-        return decode_body(body)
+    def _read_frame(self) -> tuple[MsgKind, dict]:
+        while (frame := self.decoder.next_frame()) is None:
+            data = self.sock.recv(65536)
+            if not data:
+                raise ConnectionError("peer closed the connection")
+            self.server.metrics.count("bytes_received", len(data))
+            self.decoder.feed(data)
+        return frame
 
-    async def _send(self, kind: MsgKind, payload: dict) -> None:
+    def _send(self, kind: MsgKind, payload: dict) -> None:
         frame = encode_frame(kind, payload)
-        self.writer.write(frame)
+        self.sock.sendall(frame)
         self.server.metrics.count("bytes_sent", len(frame))
-        await self.writer.drain()
 
-    async def _send_error(self, error: BaseException) -> None:
+    def _send_error(self, error: BaseException) -> None:
         self.server.metrics.count("errors_sent")
-        await self._send(MsgKind.ERROR, encode_error(error))
+        self._send(MsgKind.ERROR, encode_error(error))
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def run(self) -> None:
+    def run(self) -> None:
         try:
-            kind, payload = await asyncio.wait_for(self._read_frame(),
-                                                   HANDSHAKE_TIMEOUT)
+            # The deadline covers the first frame only: a peer that
+            # never says HELLO costs its thread this long, no longer.
+            self.sock.settimeout(HANDSHAKE_TIMEOUT)
+            kind, payload = self._read_frame()
+            self.sock.settimeout(None)
             if kind is not MsgKind.HELLO:
                 raise ProtocolError(f"expected HELLO, got {kind.name}")
             if payload.get("version") != PROTOCOL_VERSION:
@@ -187,52 +176,43 @@ class _Connection:
                     f"protocol version mismatch: client speaks "
                     f"{payload.get('version')!r}, server speaks "
                     f"{PROTOCOL_VERSION}")
+            hello_ok = {
+                "server": "repro", "version": PROTOCOL_VERSION,
+                "max_frame": self.server.max_frame,
+                "page_size": self.server.page_size}
+            if self.server.shard_id is not None:
+                hello_ok["shard_id"] = self.server.shard_id
+            self._send(MsgKind.HELLO_OK, hello_ok)
+            while True:
+                kind, payload = self._read_frame()
+                try:
+                    self._dispatch(kind, payload)
+                except (ProtocolError, ConnectionError):
+                    raise
+                except ReproError as error:
+                    # Application-level failure: typed frame, stay up.
+                    self._send_error(error)
+                except Exception as error:  # noqa: BLE001 — typed frame
+                    logger.exception("unexpected error serving %s", kind)
+                    self._send_error(error)
         except ProtocolError as error:
+            # Broken framing cannot be resynchronized: answer once
+            # (best effort) and drop the connection.
             self.server.metrics.count("protocol_errors")
-            with contextlib.suppress(Exception):
-                await self._send_error(error)
-            return
-        except (asyncio.IncompleteReadError, asyncio.TimeoutError,
-                ConnectionError):
-            return
-        hello_ok = {
-            "server": "repro", "version": PROTOCOL_VERSION,
-            "max_frame": self.server.max_frame,
-            "page_size": self.server.page_size}
-        if self.server.shard_id is not None:
-            hello_ok["shard_id"] = self.server.shard_id
-        await self._send(MsgKind.HELLO_OK, hello_ok)
+            with contextlib.suppress(OSError):
+                self._send_error(error)
+        except OSError:
+            pass        # peer went away, said nothing, or stop() hung up
 
-        while True:
-            try:
-                kind, payload = await self._read_frame()
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return                       # client went away
-            except ProtocolError as error:
-                # Broken framing cannot be resynchronized: answer once
-                # (best effort) and drop the connection.
-                self.server.metrics.count("protocol_errors")
-                with contextlib.suppress(Exception):
-                    await self._send_error(error)
-                return
-            try:
-                await self._dispatch(kind, payload)
-            except ProtocolError as error:
-                self.server.metrics.count("protocol_errors")
-                with contextlib.suppress(Exception):
-                    await self._send_error(error)
-                return
-            except ReproError as error:
-                # Application-level failure: typed frame, connection
-                # stays up.
-                await self._send_error(error)
-            except (ConnectionError, asyncio.IncompleteReadError):
-                return
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:      # noqa: BLE001 — typed frame
-                logger.exception("unexpected error serving %s", kind)
-                await self._send_error(error)
+    def abort(self) -> None:
+        """``stop()``'s wake-up call, from its thread: the shutdown ends
+        a ``recv``/``sendall``, closing the streams ends a FETCH parked
+        on a producer.  A cursor opened after the ``list()`` snapshot
+        cannot send its EXECUTE_OK, so :meth:`cleanup` gets it."""
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_RDWR)
+        for state in list(self.cursors.values()):
+            state["stream"].close()
 
     def cleanup(self) -> None:
         """Tear down this connection's server-side state.
@@ -248,26 +228,11 @@ class _Connection:
 
     # -- dispatch ------------------------------------------------------------
 
-    async def _dispatch(self, kind: MsgKind, payload: dict) -> None:
-        if kind is MsgKind.PREPARE:
-            await self._on_prepare(payload)
-        elif kind is MsgKind.EXECUTE:
-            await self._on_execute(payload)
-        elif kind is MsgKind.FETCH:
-            await self._on_fetch(payload)
-        elif kind is MsgKind.UPDATE:
-            await self._on_update(payload)
-        elif kind is MsgKind.LOAD:
-            await self._on_load(payload)
-        elif kind is MsgKind.CLOSE:
-            await self._on_close(payload)
-        elif kind is MsgKind.STATS:
-            await self._on_stats(payload)
-        elif kind is MsgKind.METRICS:
-            await self._on_metrics(payload)
-        else:
-            raise ProtocolError(f"unexpected {kind.name} frame from a "
-                                f"client")
+    def _dispatch(self, kind: MsgKind, payload: dict) -> None:
+        handler = self._HANDLERS.get(kind)
+        if handler is None:
+            raise ProtocolError(f"unexpected {kind.name} frame from a client")
+        handler(self, payload)
 
     @staticmethod
     def _field(payload: dict, name: str, kinds, where: str):
@@ -276,21 +241,26 @@ class _Connection:
             raise ProtocolError(f"{where} requires {name!r}")
         return value
 
-    async def _on_prepare(self, payload: dict) -> None:
+    @staticmethod
+    def _int_field(payload: dict, name: str, default: int,
+                   minimum: int) -> int:
+        """An optional count: absent is ``default``, ``true`` is not 1."""
+        value = payload.get(name, default)
+        if type(value) is not int or value < minimum:
+            raise ProtocolError(f"bad {name} {value!r}")
+        return value
+
+    def _on_prepare(self, payload: dict) -> None:
         document = self._field(payload, "document", str, "PREPARE")
         text = self._field(payload, "query", str, "PREPARE")
-        loop = asyncio.get_running_loop()
-        # Parsing is pure CPU but can be nontrivial for pathological
-        # inputs; keep the loop responsive by hopping off it.
-        program = await loop.run_in_executor(self.server.executor,
-                                             parse_program, text)
+        program = parse_program(text)
         if program.is_updating:
             raise UpdateError("updating statements cannot be prepared; "
                               "send them as UPDATE frames")
         handle = self._next_id
         self._next_id += 1
         self.statements[handle] = (document, program)
-        await self._send(MsgKind.PREPARE_OK, {
+        self._send(MsgKind.PREPARE_OK, {
             "statement": handle,
             "document": document,
             "externals": sorted(program.required_variables())})
@@ -307,7 +277,7 @@ class _Connection:
         query = self._field(payload, "query", str, "EXECUTE")
         return document, query
 
-    async def _on_execute(self, payload: dict) -> None:
+    def _on_execute(self, payload: dict) -> None:
         document, query = self._execute_target(payload)
         bindings = payload.get("bindings") or None
         if bindings is not None and not (
@@ -316,9 +286,8 @@ class _Connection:
                         for value in bindings.values())):
             raise ProtocolError("EXECUTE bindings must map names to "
                                 "strings")
-        page_size = payload.get("page_size") or self.server.page_size
-        if not isinstance(page_size, int) or page_size < 1:
-            raise ProtocolError(f"bad page_size {page_size!r}")
+        page_size = self._int_field(payload, "page_size",
+                                    self.server.page_size, minimum=1)
         overrides = {}
         if "time_limit" in payload:
             time_limit = payload["time_limit"]
@@ -328,8 +297,8 @@ class _Connection:
             overrides["time_limit"] = time_limit
         trace = self._trace_context(payload, "EXECUTE", document)
         # Admission control happens right here, synchronously: an
-        # AdmissionError propagates to the dispatch loop and leaves as
-        # a typed frame while the connection lives on.
+        # AdmissionError propagates to run() and leaves as a typed
+        # frame while the connection lives on.
         stream = self.server.query_server.submit_stream(
             document, query, bindings=bindings, serialize=True,
             page_size=page_size,
@@ -340,7 +309,7 @@ class _Connection:
         self.cursors[handle] = {
             "stream": stream, "document": document, "rows": 0,
             "bytes": 0, "started": time.monotonic(), "trace": trace}
-        await self._send(MsgKind.EXECUTE_OK, {"cursor": handle})
+        self._send(MsgKind.EXECUTE_OK, {"cursor": handle})
 
     def _trace_context(self, payload: dict,
                        where: str, document: str) -> TraceContext | None:
@@ -357,16 +326,14 @@ class _Connection:
             trace.root.attributes["shard"] = self.server.shard_id
         return trace
 
-    async def _on_fetch(self, payload: dict) -> None:
+    def _on_fetch(self, payload: dict) -> None:
         handle = payload.get("cursor")
         state = self.cursors.get(handle)
         if state is None:
             raise ServerError(f"unknown cursor handle {handle!r}")
         stream = state["stream"]
-        loop = asyncio.get_running_loop()
         try:
-            page = await loop.run_in_executor(self.server.executor,
-                                              stream.next_page)
+            page = stream.next_page()
         except BaseException as error:
             self.cursors.pop(handle, None)
             stream.close()
@@ -379,15 +346,14 @@ class _Connection:
                 document=state["document"], base=state["rows"],
                 rows=[], eof=True, total_rows=state["rows"],
                 plan_cache_hit=stream.plan_cache_hit, spans=spans)
-            await self._send(MsgKind.PAGE,
-                             {"cursor": handle, **envelope.as_payload()})
-            return
-        envelope = PageEnvelope(document=state["document"],
-                                base=state["rows"], rows=page, eof=False)
-        state["rows"] += len(page)
-        state["bytes"] += sum(len(row) for row in page)
-        await self._send(MsgKind.PAGE,
-                         {"cursor": handle, **envelope.as_payload()})
+        else:
+            envelope = PageEnvelope(
+                document=state["document"], base=state["rows"],
+                rows=page, eof=False)
+            state["rows"] += len(page)
+            state["bytes"] += sum(len(row) for row in page)
+        self._send(MsgKind.PAGE,
+                   {"cursor": handle, **envelope.as_payload()})
 
     def _finish_query(self, state: dict, status: str,
                       error: str | None) -> list | None:
@@ -412,7 +378,7 @@ class _Connection:
         self.server.slow_log.observe(record, spans)
         return spans
 
-    async def _on_update(self, payload: dict) -> None:
+    def _on_update(self, payload: dict) -> None:
         document = self._field(payload, "document", str, "UPDATE")
         statement = self._field(payload, "statement", str, "UPDATE")
         bindings = payload.get("bindings") or None
@@ -420,25 +386,20 @@ class _Connection:
         future = self.server.query_server.submit(document, statement,
                                                  bindings=bindings,
                                                  trace=trace)
-        result = await asyncio.wrap_future(future)
+        result = future.result()
         self.server.metrics.count("updates")
         body = dataclasses.asdict(result)
         if trace is not None:
             body["spans"] = trace.close(status="ok")
-        await self._send(MsgKind.UPDATE_OK, body)
+        self._send(MsgKind.UPDATE_OK, body)
 
-    async def _on_load(self, payload: dict) -> None:
+    def _on_load(self, payload: dict) -> None:
         document = self._field(payload, "document", str, "LOAD")
         xml = self._field(payload, "xml", str, "LOAD")
-        loop = asyncio.get_running_loop()
-        # Parsing and storing a document is blocking work; hop off the
-        # loop so one big LOAD doesn't stall every other connection.
-        await loop.run_in_executor(
-            self.server.executor,
-            lambda: self.server.query_server.load(document, xml=xml))
-        await self._send(MsgKind.LOAD_OK, {"document": document})
+        self.server.query_server.load(document, xml=xml)
+        self._send(MsgKind.LOAD_OK, {"document": document})
 
-    async def _on_close(self, payload: dict) -> None:
+    def _on_close(self, payload: dict) -> None:
         if "cursor" in payload:
             state = self.cursors.pop(payload["cursor"], None)
             if state is None:
@@ -446,31 +407,32 @@ class _Connection:
                     f"unknown cursor handle {payload['cursor']!r}")
             state["stream"].close()
             self._finish_query(state, "closed", None)
-            await self._send(MsgKind.CLOSE_OK,
-                             {"cursor": payload["cursor"]})
+            self._send(MsgKind.CLOSE_OK, {"cursor": payload["cursor"]})
             return
         if "statement" in payload:
             if self.statements.pop(payload["statement"], None) is None:
                 raise ServerError(
                     f"unknown statement handle {payload['statement']!r}")
-            await self._send(MsgKind.CLOSE_OK,
-                             {"statement": payload["statement"]})
+            self._send(MsgKind.CLOSE_OK,
+                       {"statement": payload["statement"]})
             return
         raise ProtocolError("CLOSE requires 'cursor' or 'statement'")
 
-    async def _on_stats(self, payload: dict) -> None:
-        recent = payload.get("recent", 0)
-        if not isinstance(recent, int) or recent < 0:
-            raise ProtocolError(f"bad recent {recent!r}")
-        await self._send(MsgKind.STATS_OK, self.server.stats(recent))
+    def _on_stats(self, payload: dict) -> None:
+        recent = self._int_field(payload, "recent", 0, minimum=0)
+        self._send(MsgKind.STATS_OK, self.server.stats(recent))
 
-    async def _on_metrics(self, payload: dict) -> None:
-        loop = asyncio.get_running_loop()
-        # Producers may take subsystem locks; render off the loop.
-        text = await loop.run_in_executor(
-            self.server.executor,
-            self.server.metrics_registry.render_text)
-        await self._send(MsgKind.METRICS_OK, {"text": text})
+    def _on_metrics(self, payload: dict) -> None:
+        self._send(MsgKind.METRICS_OK, {
+            "text": self.server.metrics_registry.render_text()})
+
+    #: The frames a client may send after HELLO.
+    _HANDLERS = {
+        MsgKind.PREPARE: _on_prepare, MsgKind.EXECUTE: _on_execute,
+        MsgKind.FETCH: _on_fetch, MsgKind.UPDATE: _on_update,
+        MsgKind.LOAD: _on_load, MsgKind.CLOSE: _on_close,
+        MsgKind.STATS: _on_stats, MsgKind.METRICS: _on_metrics,
+    }
 
 
 class NetworkServer:
@@ -478,10 +440,10 @@ class NetworkServer:
 
     Owns a :class:`~repro.core.server.QueryServer` (or wraps any
     :class:`~repro.core.server.QueryService` passed as
-    ``query_server``) and an asyncio event loop.  Two ways to run it:
+    ``query_server``) and the listening socket.  Two ways to run it:
 
-    * :meth:`start` / :meth:`stop` — spin the loop on a background
-      thread (what the tests and the embedding use);
+    * :meth:`start` / :meth:`stop` — accept on a background thread
+      (what the tests and the embedding use);
     * ``python -m repro.serve`` — the command-line entry point
       (:mod:`repro.serve`), which also handles document loading and
       signals.
@@ -512,9 +474,6 @@ class NetworkServer:
             dbms, workers=workers, max_pending=max_pending,
             profile=profile, time_limit=time_limit,
             memory_budget=memory_budget)
-        self.executor = ThreadPoolExecutor(
-            max_workers=max(8, self.query_server.io_slots * 2),
-            thread_name_prefix="repro-net-io")
         self.metrics = _NetMetrics()
         # Join the served layer's registry, so METRICS serves every
         # layer's counters off one page.
@@ -527,75 +486,56 @@ class NetworkServer:
             else slow_query_seconds)
         self.metrics_registry.register("slowlog", self.slow_log)
         self.address: tuple[str, int] | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
-        self._log_task: asyncio.Task | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._start_error: BaseException | None = None
+        self._listener: socket.socket | None = None
+        self._stopping = threading.Event()
+        #: The accept thread, then (optionally) the stats-line thread.
+        self._threads: list[threading.Thread] = []
+        #: Never held across a call that takes another lock.
+        self._conn_lock = threading.Lock()
+        # guarded by: self._conn_lock
+        self._connections: dict[_Connection, threading.Thread] = {}
 
-    # -- asyncio side --------------------------------------------------------
+    # -- threads -------------------------------------------------------------
 
-    async def start_async(self) -> tuple[str, int]:
-        """Bind and start accepting connections on the running loop."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.address = self._server.sockets[0].getsockname()[:2]
-        if self.log_interval > 0:
-            self._log_task = asyncio.get_running_loop().create_task(
-                self._log_periodically())
-        logger.info("listening on %s:%d", *self.address)
-        return self.address
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _peer = self._listener.accept()
+            except OSError:
+                if self._stopping.is_set():
+                    return
+                # Out of descriptors, or the peer reset before we got
+                # to it: keep listening, but do not spin.
+                logger.exception("accept failed; retrying")
+                self._stopping.wait(1.0)
+                continue
+            # Request/response over small frames: Nagle plus delayed
+            # ACK would add ~40 ms to every round trip.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            connection = _Connection(self, sock)
+            thread = threading.Thread(target=self._serve, args=(connection,),
+                                      name="repro-net-conn", daemon=True)
+            with self._conn_lock:
+                self._connections[connection] = thread
+            thread.start()
 
-    async def stop_async(self) -> None:
-        """Stop accepting, drop every connection, release their state."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._log_task is not None:
-            self._log_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._log_task
-            self._log_task = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections,
-                                 return_exceptions=True)
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        connection = _Connection(self, reader, writer)
-        task = asyncio.current_task()
-        self._connections.add(task)
+    def _serve(self, connection: _Connection) -> None:
         self.metrics.count("connections_total")
         self.metrics.count("connections_open")
         try:
-            await connection.run()
-        except asyncio.CancelledError:
-            # Shutdown cancelled us mid-read.  Swallowing the
-            # cancellation here (after cleanup below) keeps the
-            # streams-module connection callback from re-raising it
-            # into the loop's exception handler on 3.11.
-            pass
+            connection.run()
         finally:
-            # Unconditional: whether the client said goodbye, broke the
-            # protocol, or the task was cancelled by shutdown, the
-            # statement/cursor tables empty and every stream closes.
+            # However it ended — goodbye, violation, stop() — the
+            # tables empty and every stream closes.
             connection.cleanup()
             self.metrics.count("connections_open", -1)
-            self._connections.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            with self._conn_lock:
+                del self._connections[connection]
+            connection.sock.close()
 
-    async def _log_periodically(self) -> None:
-        while True:
-            await asyncio.sleep(self.log_interval)
-            logger.info("%s", json.dumps(self.stats(),
-                                         sort_keys=True))
+    def _log_periodically(self) -> None:
+        while not self._stopping.wait(self.log_interval):
+            logger.info("%s", json.dumps(self.stats(), sort_keys=True))
 
     # -- observability -------------------------------------------------------
 
@@ -606,53 +546,49 @@ class NetworkServer:
             "network": self.metrics.snapshot(recent=recent),
         }
 
-    # -- background-thread harness -------------------------------------------
+    # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        """Run the event loop on a daemon thread; returns (host, port)."""
-        if self._thread is not None:
+        """Bind and accept on a daemon thread; returns (host, port)."""
+        if self._listener is not None:
             raise ServerError("NetworkServer is already started")
-        loop = asyncio.new_event_loop()
-        ready = threading.Event()
-
-        def _run() -> None:
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(self.start_async())
-            except BaseException as error:  # surfaced to start()
-                self._start_error = error
-                ready.set()
-                loop.close()
-                return
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        self._thread = threading.Thread(target=_run,
-                                        name="repro-net-loop",
-                                        daemon=True)
-        self._thread.start()
-        ready.wait()
-        if self._start_error is not None:
-            self._thread.join()
-            self._thread = None
-            error, self._start_error = self._start_error, None
-            raise error
+        family, _, _, _, sockaddr = socket.getaddrinfo(
+            self.host or None, self.port, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE)[0]
+        self._listener = socket.create_server(sockaddr[:2], family=family)
+        self.address = self._listener.getsockname()[:2]
+        self._threads = [threading.Thread(
+            target=self._accept_loop, name="repro-net-accept",
+            daemon=True)]
+        if self.log_interval > 0:
+            self._threads.append(threading.Thread(
+                target=self._log_periodically, name="repro-net-log",
+                daemon=True))
+        for thread in self._threads:
+            thread.start()
+        logger.info("listening on %s:%d", *self.address)
         return self.address
 
     def stop(self) -> None:
-        """Shut down the loop thread and (if owned) the worker pool."""
-        if self._thread is not None:
-            future = asyncio.run_coroutine_threadsafe(self.stop_async(),
-                                                      self._loop)
-            future.result(timeout=60.0)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=60.0)
-            self._thread = None
-        self.executor.shutdown(wait=False)
+        """Stop accepting, hang up on every connection, join their
+        threads and (if owned) close the worker pool.  Nothing polls:
+        a shutdown wakes whoever is parked on that socket."""
+        if self._listener is not None:
+            self._stopping.set()
+            with contextlib.suppress(OSError):
+                self._listener.shutdown(socket.SHUT_RDWR)
+            for thread in self._threads:
+                thread.join()
+            self._listener.close()
+            self._listener = None
+            # The accept thread is gone, so this is every connection
+            # there will ever be.
+            with self._conn_lock:
+                live = dict(self._connections)
+            for connection in live:
+                connection.abort()
+            for thread in live.values():
+                thread.join()
         if self._owns_query_server:
             self.query_server.close()
 

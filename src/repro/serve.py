@@ -27,14 +27,11 @@ import argparse
 import logging
 import signal
 import sys
-import tempfile
 import threading
 from pathlib import Path
 
 from repro.core.dbms import XmlDbms
 from repro.net.server import NetworkServer
-from repro.workloads.dblp import DblpConfig, generate_dblp
-from repro.workloads.treebank import TreebankConfig, generate_treebank
 
 
 def _parse_spec(spec: str, flag: str) -> tuple[str, str]:
@@ -46,11 +43,16 @@ def _parse_spec(spec: str, flag: str) -> tuple[str, str]:
 
 def _generate(spec: str) -> str:
     """``dblp:articles[:inproceedings[:name_pool]]`` or
-    ``treebank:sentences`` → document XML text."""
+    ``treebank:sentences`` → document XML text.
+
+    The generators are imported here, by the one option that needs
+    them: a server of real documents never loads them.
+    """
     kind, *params = spec.split(":")
     try:
         numbers = [int(value) for value in params]
         if kind == "dblp":
+            from repro.workloads.dblp import DblpConfig, generate_dblp
             articles = numbers[0] if numbers else 100
             config = DblpConfig(
                 articles=articles,
@@ -59,6 +61,10 @@ def _generate(spec: str) -> str:
                 name_pool=numbers[2] if len(numbers) > 2 else 40)
             return generate_dblp(config)
         if kind == "treebank":
+            from repro.workloads.treebank import (
+                TreebankConfig,
+                generate_treebank,
+            )
             return generate_treebank(TreebankConfig(
                 sentences=numbers[0] if numbers else 50))
     except (ValueError, IndexError):
@@ -115,8 +121,11 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr, level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
-    db_path = args.db or str(
-        Path(tempfile.mkdtemp(prefix="repro-serve-")) / "serve.db")
+    db_path = args.db
+    if not db_path:
+        import tempfile
+        db_path = str(
+            Path(tempfile.mkdtemp(prefix="repro-serve-")) / "serve.db")
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *__: stop.set())

@@ -26,7 +26,6 @@ import argparse
 import logging
 import signal
 import sys
-import tempfile
 import threading
 
 from repro.net.server import NetworkServer
@@ -86,7 +85,10 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr, level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
-    data_dir = args.data_dir or tempfile.mkdtemp(prefix="repro-shard-")
+    data_dir = args.data_dir
+    if not data_dir:
+        import tempfile
+        data_dir = tempfile.mkdtemp(prefix="repro-shard-")
     partitioned = set(args.partition)
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):

@@ -150,10 +150,10 @@ class ShardedServer(QueryService):
         self._closed = False
         # guarded by: self._lock
         self._streams: set = set()
-        #: Enough I/O slots to keep every shard busy.
-        self.io_slots = max(4, 2 * len(endpoints))
+        #: Enough threads to keep every shard busy.
         self._executor = ThreadPoolExecutor(
-            max_workers=self.io_slots, thread_name_prefix="repro-shard")
+            max_workers=max(4, 2 * len(endpoints)),
+            thread_name_prefix="repro-shard")
         # guarded by: self._lock
         self._queries = 0
         # guarded by: self._lock

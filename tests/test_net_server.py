@@ -13,15 +13,20 @@ Everything here talks TCP to an in-process
 * protocol violations drop exactly the offending connection, without
   crashing the server or leaking cursors/streams/workers;
 * a client that vanishes mid-stream frees its server-side state — the
-  leak-proof-disconnect guarantee backpressure makes interesting.
+  leak-proof-disconnect guarantee backpressure makes interesting;
+* a silent or stalled peer costs one thread, never another connection
+  or ``stop()``, and no connection outlives itself as a thread.
 """
 
 import os
+import pathlib
+import re
 import signal
 import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -38,6 +43,7 @@ from repro.errors import (
     XQSyntaxError,
 )
 from repro.net import NetClient, NetworkServer
+from repro.net import server as net_server
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -346,6 +352,22 @@ class TestProtocolViolations:
             with pytest.raises(ProtocolError):
                 client.query("doc", "/r/item")
 
+    @pytest.mark.parametrize("kind, field, bad", [
+        *[(MsgKind.EXECUTE, "page_size", bad)
+          for bad in (0, True, "8", -1, None)],
+        *[(MsgKind.STATS, "recent", bad) for bad in (True, "8", -1)],
+    ])
+    def test_counts_must_be_real_integers_in_range(self, server, kind,
+                                                   field, bad):
+        """``0`` is not "use the default" and ``true`` is not 1."""
+        host, port = server.address
+        with NetClient(host, port) as client:
+            with pytest.raises(ProtocolError, match=field):
+                client._request(kind, {"document": "doc",
+                                       "query": "/r/item", field: bad},
+                                MsgKind.ERROR)
+        assert not server.query_server._streams
+
     def test_abrupt_disconnect_mid_stream_frees_the_worker(self, server):
         """The headline leak-proofing test: kill the socket while the
         server is blocked producing pages, then prove the worker pool
@@ -363,6 +385,108 @@ class TestProtocolViolations:
             for __ in range(4):          # > workers: none are stuck
                 assert len(fresh.execute("doc", "/r/item").fetchall()) \
                     == 100
+
+
+# ---------------------------------------------------------------------------
+# silent and stalled peers, shutdown, thread leaks
+# ---------------------------------------------------------------------------
+
+
+def _conn_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name == "repro-net-conn"]
+
+
+def _stall_mid_frame(server):
+    """A handshaken raw connection parked halfway through an EXECUTE:
+    the length prefix promises bytes that never come."""
+    sock = _raw_connection(server)
+    sock.sendall(encode_frame(MsgKind.HELLO,
+                              {"version": PROTOCOL_VERSION}))
+    decoder = FrameDecoder()
+    while (frame := decoder.next_frame()) is None:
+        decoder.feed(sock.recv(65536))
+    assert frame[0] is MsgKind.HELLO_OK
+    frame = encode_frame(MsgKind.EXECUTE,
+                         {"document": "doc", "query": "/r/item"})
+    sock.sendall(frame[:len(frame) // 2])
+    return sock
+
+
+class TestHostilePeers:
+    def test_silent_peer_is_dropped_at_the_handshake_deadline(
+            self, server, monkeypatch):
+        monkeypatch.setattr(net_server, "HANDSHAKE_TIMEOUT", 0.2)
+        sock = _raw_connection(server)
+        try:
+            # Returns at the server's hang-up; our own (much longer)
+            # socket timeout would raise instead.
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+        assert wait_until(lambda: not _conn_threads()), \
+            "the dropped connection left its thread behind"
+        assert server.metrics.snapshot()["connections_open"] == 0
+
+    def test_peer_stalled_mid_frame_delays_nobody_else(self, server):
+        stalled = _stall_mid_frame(server)
+        try:
+            host, port = server.address
+            with NetClient(host, port, timeout=JOIN_TIMEOUT) as client:
+                assert len(client.execute("doc", "/r/item").fetchall()) \
+                    == 100
+        finally:
+            stalled.close()
+
+    def test_stop_wakes_stalled_and_fetching_connections(self, tmp_path):
+        """One peer parked mid-frame, another parked in a FETCH no
+        worker will ever feed: stop() hangs up on both and returns
+        with their threads gone and their streams closed.  The pool is
+        the caller's, so stop() cannot lean on closing it."""
+        with XmlDbms(str(tmp_path / "stop.db")) as dbms:
+            dbms.load("doc", xml=ITEMS_DOC)
+            with QueryServer(dbms, workers=1) as pool:
+                served = NetworkServer(dbms, query_server=pool,
+                                       page_size=1, max_buffered_pages=1,
+                                       log_interval=0.0)
+                host, port = served.start()
+                stalled = _stall_mid_frame(served)
+                client = NetClient(host, port, timeout=JOIN_TIMEOUT)
+                # Unconsumed, the first cursor pins the only worker on
+                # backpressure; the second never leaves the queue.
+                assert client.execute("doc", "/r/item").fetch_page()
+                starved = client.execute("doc", "/r/item")
+                fetch = encode_frame(MsgKind.FETCH,
+                                     {"cursor": starved.handle})
+                received = served.metrics.snapshot()["bytes_received"]
+                client._sock.sendall(fetch)
+                assert wait_until(
+                    lambda: served.metrics.snapshot()["bytes_received"]
+                    == received + len(fetch))
+                assert len(pool._streams) == 2
+                stopper = threading.Thread(target=served.stop)
+                stopper.start()
+                stopper.join(JOIN_TIMEOUT)
+                assert not stopper.is_alive(), "stop() is stuck"
+                assert not _conn_threads()
+                # The streams are closed; the one worker now meets
+                # each in turn and lets go of it.
+                assert wait_until(lambda: not pool._streams)
+                assert dbms.mvcc_stats()["snapshots_pinned"] == 0
+                stalled.close()
+                client._sock.close()
+
+    def test_connection_churn_leaves_no_thread_behind(self, server):
+        host, port = server.address
+        baseline = set(threading.enumerate())
+        for __ in range(200):
+            NetClient(host, port, timeout=JOIN_TIMEOUT).close()
+        assert wait_until(
+            lambda: set(threading.enumerate()) <= baseline), \
+            f"leaked {set(threading.enumerate()) - baseline}"
+        network = server.metrics.snapshot()
+        assert network["connections_total"] == 200
+        assert network["connections_open"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +519,26 @@ class TestEmbedding:
 
 
 class TestServeSubprocess:
+    def test_server_processes_never_import_asyncio(self):
+        """Every server process pays for what its entry point imports:
+        asyncio (and the ssl and ~40 modules it drags in) stays out,
+        and so do the generators unless ``--generate`` asks."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        heavy = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.serve, repro.shard.__main__, sys; "
+             "print(*sorted({'asyncio', 'ssl', 'tempfile', "
+             "'repro.workloads.dblp'} & set(sys.modules)))"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=JOIN_TIMEOUT,
+            check=True).stdout.split()
+        assert heavy == []
+        importers = [
+            path for path in pathlib.Path(src, "repro").rglob("*.py")
+            if re.search(r"^\s*(import|from)\s+asyncio\b",
+                         path.read_text(encoding="utf-8"), re.M)]
+        assert importers == []
+
     def test_serve_starts_answers_and_shuts_down_cleanly(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -320,10 +320,13 @@ def test_no_stream_kind_leaks_threads_leases_or_snapshots(tmp_path):
     def counts():
         pools = mediator.cluster_stats()["pools"]
         return {
-            # The front ends' I/O executors grow lazily to a fixed
-            # cap; every other thread is either permanent or a leak.
-            "threads": sum(not thread.name.startswith("repro-net-io")
-                           for thread in threading.enumerate()),
+            # Every thread counts.  A pool may end up idling one more
+            # connection than it started with, and an open connection
+            # owns exactly one server thread; anything else that
+            # stays behind is a leak.
+            "threads": threading.active_count() - sum(
+                shard.metrics.snapshot()["connections_open"]
+                for shard in shards),
             "leased": [pool["connects"] - pool["discards"] - pool["idle"]
                        for pool in pools],
             "streams": [len(server._streams) for server in
