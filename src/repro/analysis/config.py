@@ -16,10 +16,8 @@ first (see ``docs/static-analysis.md`` for the narrative version):
 3.  document latch (shared for reads, exclusive for index builds)
 4.  catalog lock (``XmlDbms._lock``), then the engine-cache lock
 5.  storage transaction lock, then the catalog-tree ``Database`` lock
-6.  B+-tree latch
-7.  per-page latch (``frame.latch`` / ``BufferPool.latched``)
-8.  buffer-pool mutex
-9.  pager I/O mutex
+6.  buffer-pool mutex
+7.  pager I/O mutex
 
 The declaration is *checked*: :func:`validate_hierarchy` fails the run
 when a declared site no longer matches any acquisition in the scanned
@@ -33,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
 from repro.analysis.model import Finding
-from repro.analysis.scopes import expr_text
 
 
 @dataclass(frozen=True)
@@ -84,23 +81,6 @@ def _document_latch(expr: ast.expr, path: str, classname: str) -> bool:
                  else receiver.func.id) == "document_latch")
 
 
-def _tree_latch(expr: ast.expr, path: str, classname: str) -> bool:
-    receiver = _latch_call(expr)
-    return (path.endswith("storage/btree.py") and receiver is not None
-            and _is_self_attr(receiver, "_latch"))
-
-
-def _page_latch(expr: ast.expr, path: str, classname: str) -> bool:
-    receiver = _latch_call(expr)
-    if receiver is not None:
-        text = expr_text(receiver)
-        if text == "latch" or text.endswith(".latch"):
-            return True
-    return (isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr == "latched")
-
-
 LOCK_HIERARCHY = (
     LockSite("shard mediator lock", 10,
              _attr_lock("shard/mediator.py", "ShardedServer", "_lock"),
@@ -126,10 +106,6 @@ LOCK_HIERARCHY = (
     LockSite("storage catalog lock", 62,
              _attr_lock("storage/db.py", "Database", "_lock"),
              home="storage/db.py"),
-    LockSite("b+tree latch", 66, _tree_latch,
-             home="storage/btree.py"),
-    LockSite("page latch", 70, _page_latch,
-             home="storage/buffer.py"),
     LockSite("buffer-pool mutex", 80,
              _attr_lock("storage/buffer.py", "BufferPool", "_lock"),
              home="storage/buffer.py"),

@@ -4,8 +4,8 @@ The codebase has a handful of open/close protocols whose leak modes
 are silent and expensive: a memory-meter ``charge`` with no
 ``release`` inflates the budget until queries start spilling; a
 ``pin_snapshot`` without ``release_snapshot`` retains version chains
-forever; an unclosed latch or stream holds a shard connection or a
-worker hostage.  For each configured pair, a call to the opener inside
+forever; an unclosed stream holds a shard connection or a worker
+hostage.  For each configured pair, a call to the opener inside
 a function must satisfy one of:
 
 * it is the context expression of a ``with`` statement (the
@@ -51,9 +51,6 @@ class Pair:
 PAIRS = (
     Pair("charge", ("release",), "memory-meter charge"),
     Pair("pin_snapshot", ("release_snapshot",), "pinned snapshot"),
-    Pair("acquire_shared", ("release_shared",), "shared latch"),
-    Pair("acquire_exclusive", ("release_exclusive",),
-         "exclusive latch"),
     Pair("submit_stream", ("close",), "query stream"),
 )
 

@@ -23,7 +23,8 @@ loses an acknowledged update or corrupts a page.  Concurrency is
 likewise scoped back in by the serving layer: one ``XmlDbms`` may be
 shared by any number of threads.  The engine cache, catalog versions and
 default session are guarded by a dbms-level lock, the storage layer
-latches pages and trees (see :mod:`repro.storage.latch`), and
+never mutates a page buffer a reader can reach (see
+:mod:`repro.storage.buffer`), and
 :meth:`load` replacing a document is well-defined against concurrent
 readers — executions already running (and open cursors) finish on the
 *old* snapshot, whose pages are never reclaimed, while sessions touching

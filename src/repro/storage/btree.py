@@ -21,27 +21,29 @@ Properties:
 * every page access goes through the buffer pool, so index I/O is counted
   by the same meter the cost model estimates against.
 
-Decoded nodes are immutable and owned by the pool *frame* of the live
-page they mirror: shared by every tree instance, gone with the frame.
-Writers edit a private copy and publish it with the write.
+Pages are copy-on-write: a writer edits a private copy of the decoded
+node, serialises it into a fresh page image and publishes image and
+node together (:meth:`~repro.storage.buffer.BufferPool.put_page`), so a
+buffer or node that a reader already holds never changes.  Decoded
+nodes are owned by the pool *frame* of the live page they mirror: shared
+by every tree instance, gone with the frame.
 
 Tree identity: a B+-tree is named by its **meta page** id.  The meta page
 stores the root page id, height and entry count, so structural changes
 (root splits) never require catalog updates.
 
-Concurrency: each tree instance carries a shared/exclusive latch.
-Traversals (``search``, ``range_scan``, ``prefix_scan``,
-``leaf_page_count``) hold it shared — any number run together, including
-long-lived scan generators, which keep it across ``yield``\\ s and
-release it when exhausted or closed.  Structural modification
-(``insert``, ``bulk_load``) holds it exclusively, so a reader can never
-observe a half-applied split.  Underneath, node reads and writes take
-the buffer pool's per-page latch while (de)serialising, so concurrent
-trees sharing one pool cannot interleave byte-level access to a page.
-Instances share decoded nodes but not their meta fields or latch:
-concurrent *writers through different instances of the same tree* are
-unsupported (the catalog, the one mutated tree, is a single shared
-instance guarded by the database lock).
+Concurrency: a tree instance is not a synchronisation point — it holds
+no lock.  Readers run under a pinned snapshot bound to their thread
+(:meth:`~repro.storage.buffer.BufferPool.reading`): every node they
+fetch is the version committed at their pin, so a traversal or a
+long-lived scan generator is never shown a half-applied split, and
+never waits for a writer.  Writers are serialised by their callers —
+:meth:`Database.transaction <repro.storage.db.Database.transaction>`
+admits one at a time, and the catalog tree is additionally guarded by
+the database lock.  Reading through an instance *while another thread
+writes the same tree, outside that protocol*, is unsupported, as are
+concurrent writers through different instances (instances share
+decoded nodes but not their meta fields).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from collections.abc import Iterable, Iterator
 
 from repro.errors import BTreeError
 from repro.storage.buffer import BufferPool
-from repro.storage.latch import SharedLatch
 
 _META = struct.Struct(">4sIIQ")  # magic, root, height, entry count
 _META_MAGIC = b"BTRE"
@@ -78,7 +79,7 @@ class _Node:
 
     Nodes read from the pool are shared and frozen (tuple fields); a
     writer changes a private :meth:`editable` copy (list fields), which
-    ``_write_node`` freezes and publishes.
+    ``_write_node`` freezes and publishes with its page image.
 
     ``size`` is the serialized byte count as of the last read or write;
     a fit test adds the new entry's bytes to it.
@@ -107,11 +108,11 @@ class _Node:
         self.children = tuple(self.children)
         return self
 
-    def serialize_into(self, page: bytearray) -> int:
-        """Write the node image (zero-padded) and return its size.
+    def image(self, page_size: int) -> bytes:
+        """The node's page image (zero-padded); sets ``size``.
 
-        Raises before touching ``page`` if the image does not fit —
-        this is the one overflow check of every node write.
+        Raises if the node does not fit — this is the one overflow
+        check of every node write.
         """
         count = len(self.keys)
         parts = [_NODE_HEADER.pack(_LEAF if self.is_leaf else _INTERNAL,
@@ -127,16 +128,14 @@ class _Node:
             for key in self.keys:
                 parts += (length(len(key)), key)
         image = b"".join(parts)
-        size = len(image)
-        if size > len(page):
+        if len(image) > page_size:
             raise BTreeError("node exceeds page capacity after write")
-        page[:size] = image
-        # Zero the tail so stale bytes never survive.
-        page[size:] = bytes(len(page) - size)
-        return size
+        self.size = len(image)
+        return image.ljust(page_size, b"\0")
 
     @classmethod
-    def deserialize(cls, page_id: int, page: bytearray) -> "_Node":
+    def deserialize(cls, page_id: int,
+                    page: bytes | bytearray) -> "_Node":
         node_type, count = _NODE_HEADER.unpack_from(page, 0)
         offset = _NODE_HEADER.size
         node = cls(page_id, node_type == _LEAF)
@@ -174,7 +173,6 @@ class BTree:
     def __init__(self, buffer_pool: BufferPool, meta_page_id: int):
         self.buffer_pool = buffer_pool
         self.meta_page_id = meta_page_id
-        self._latch = SharedLatch()
         self._load_meta()
 
     # -- lifecycle -------------------------------------------------------------
@@ -182,8 +180,9 @@ class BTree:
     @classmethod
     def create(cls, buffer_pool: BufferPool) -> "BTree":
         """Allocate an empty tree (meta page + one empty leaf)."""
+        # Edited in place: nobody else knows these page ids yet.
         root_id, root_page = buffer_pool.new_page()
-        _Node(root_id, is_leaf=True).serialize_into(root_page)
+        root_page[:] = _Node(root_id, is_leaf=True).image(len(root_page))
         buffer_pool.unpin(root_id, dirty=True)
 
         meta_id, meta_page = buffer_pool.new_page()
@@ -194,8 +193,8 @@ class BTree:
     # -- meta page ---------------------------------------------------------------
 
     def _load_meta(self) -> None:
-        with self.buffer_pool.latched(self.meta_page_id) as page:
-            magic, root, height, count = _META.unpack_from(page, 0)
+        page = self.buffer_pool.get_page(self.meta_page_id, pin=False)
+        magic, root, height, count = _META.unpack_from(page, 0)
         if magic != _META_MAGIC:
             raise BTreeError(f"page {self.meta_page_id} is not a B+-tree "
                              "meta page")
@@ -204,10 +203,10 @@ class BTree:
         self.entry_count = count
 
     def _save_meta(self) -> None:
-        with self.buffer_pool.latched(self.meta_page_id,
-                                      exclusive=True) as page:
-            _META.pack_into(page, 0, _META_MAGIC, self.root_page_id,
-                            self.height, self.entry_count)
+        record = _META.pack(_META_MAGIC, self.root_page_id, self.height,
+                            self.entry_count)
+        self.buffer_pool.put_page(
+            self.meta_page_id, record.ljust(self._max_node_size(), b"\0"))
 
     # -- node access ---------------------------------------------------------------
 
@@ -215,18 +214,15 @@ class BTree:
         pool = self.buffer_pool
         node = pool.decoded(page_id)
         if node is None:
-            # Publish under the shared latch; snapshot copies are ignored.
-            with pool.latched(page_id) as page:
-                node = _Node.deserialize(page_id, page)
-                pool.publish_decoded(page_id, page, node)
+            page = pool.get_page(page_id, pin=False)
+            node = _Node.deserialize(page_id, page)
+            # Ignored unless ``page`` is still the live buffer.
+            pool.publish_decoded(page_id, page, node)
         return node
 
     def _write_node(self, node: _Node) -> None:
-        pool = self.buffer_pool
-        with pool.latched(node.page_id, exclusive=True) as page:
-            node.size = node.serialize_into(page)
-        # Dirtying cleared the frame's decoded slot on the way out.
-        pool.publish_decoded(node.page_id, page, node.freeze(), fresh=False)
+        image = node.image(self._max_node_size())
+        self.buffer_pool.put_page(node.page_id, image, node.freeze())
 
     def _new_node(self, is_leaf: bool, **fields) -> _Node:
         page_id, page = self.buffer_pool.new_page()
@@ -247,12 +243,11 @@ class BTree:
 
     def search(self, key: bytes) -> bytes | None:
         """Point lookup; returns the value or ``None``."""
-        with self._latch.shared():
-            leaf = self._descend_to_leaf(key)
-            index = bisect_left(leaf.keys, key)
-            if index < len(leaf.keys) and leaf.keys[index] == key:
-                return leaf.values[index]
-            return None
+        leaf = self._descend_to_leaf(key)
+        index = bisect_left(leaf.keys, key)
+        if index < len(leaf.keys) and leaf.keys[index] == key:
+            return leaf.values[index]
+        return None
 
     def __contains__(self, key: bytes) -> bool:
         return self.search(key) is not None
@@ -263,39 +258,31 @@ class BTree:
         """Yield ``(key, value)`` pairs with ``low ≤/< key ≤/< high``.
 
         ``None`` bounds are open-ended.  Keys stream in ascending order via
-        the leaf chain.
-
-        The tree latch is held shared for the generator's whole life —
-        across ``yield``\\ s, released when the scan is exhausted *or
-        closed early* — so an in-flight scan never observes a structural
-        modification half-applied.
+        the leaf chain.  A scan that must stay consistent across writes
+        runs under a bound snapshot (see the module docstring).
         """
-        self._latch.acquire_shared()
-        try:
-            if low is None:
-                leaf = self._leftmost_leaf()
-                index = 0
-            else:
-                leaf = self._descend_to_leaf(low)
-                index = (bisect_left(leaf.keys, low) if include_low
-                         else bisect_right(leaf.keys, low))
-            while True:
-                while index < len(leaf.keys):
-                    key = leaf.keys[index]
-                    if high is not None:
-                        if include_high:
-                            if key > high:
-                                return
-                        elif key >= high:
+        if low is None:
+            leaf = self._leftmost_leaf()
+            index = 0
+        else:
+            leaf = self._descend_to_leaf(low)
+            index = (bisect_left(leaf.keys, low) if include_low
+                     else bisect_right(leaf.keys, low))
+        while True:
+            while index < len(leaf.keys):
+                key = leaf.keys[index]
+                if high is not None:
+                    if include_high:
+                        if key > high:
                             return
-                    yield key, leaf.values[index]
-                    index += 1
-                if leaf.next_leaf == 0:
-                    return
-                leaf = self._read_node(leaf.next_leaf)
-                index = 0
-        finally:
-            self._latch.release_shared()
+                    elif key >= high:
+                        return
+                yield key, leaf.values[index]
+                index += 1
+            if leaf.next_leaf == 0:
+                return
+            leaf = self._read_node(leaf.next_leaf)
+            index = 0
 
     def prefix_scan(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]:
         """All entries whose key starts with ``prefix``, in order."""
@@ -329,18 +316,16 @@ class BTree:
             raise BTreeError(
                 f"entry of {len(key) + len(value)} bytes cannot fit in a "
                 f"{self._max_node_size()}-byte page; use the overflow store")
-        with self._latch.exclusive():
-            split = self._insert_into(self.root_page_id, key, value,
-                                      replace)
-            if split is not None:
-                separator, right_id = split
-                new_root = self._new_node(
-                    False, keys=[separator],
-                    children=[self.root_page_id, right_id])
-                self._write_node(new_root)
-                self.root_page_id = new_root.page_id
-                self.height += 1
-            self._save_meta()
+        split = self._insert_into(self.root_page_id, key, value, replace)
+        if split is not None:
+            separator, right_id = split
+            new_root = self._new_node(
+                False, keys=[separator],
+                children=[self.root_page_id, right_id])
+            self._write_node(new_root)
+            self.root_page_id = new_root.page_id
+            self.height += 1
+        self._save_meta()
 
     def _insert_into(self, page_id: int, key: bytes, value: bytes,
                      replace: bool) -> tuple[bytes, int] | None:
@@ -426,20 +411,19 @@ class BTree:
         scans).  A missing key raises
         :class:`~repro.errors.BTreeError` unless ``missing_ok``.
         """
-        with self._latch.exclusive():
-            leaf = self._descend_to_leaf(key)
-            index = bisect_left(leaf.keys, key)
-            if index >= len(leaf.keys) or leaf.keys[index] != key:
-                if missing_ok:
-                    return False
-                raise BTreeError(f"delete of missing key {key!r}")
-            leaf = leaf.editable()
-            del leaf.keys[index]
-            del leaf.values[index]
-            self.entry_count -= 1
-            self._write_node(leaf)
-            self._save_meta()
-            return True
+        leaf = self._descend_to_leaf(key)
+        index = bisect_left(leaf.keys, key)
+        if index >= len(leaf.keys) or leaf.keys[index] != key:
+            if missing_ok:
+                return False
+            raise BTreeError(f"delete of missing key {key!r}")
+        leaf = leaf.editable()
+        del leaf.keys[index]
+        del leaf.values[index]
+        self.entry_count -= 1
+        self._write_node(leaf)
+        self._save_meta()
+        return True
 
     # -- dropping ---------------------------------------------------------------
 
@@ -447,34 +431,32 @@ class BTree:
         """Free every page of the tree (nodes, chained-but-unreachable
         leaves, and the meta page) back to the pager free list.
 
-        The instance is unusable afterwards.  Callers must guarantee no
-        concurrent reader holds a scan over the tree — the exclusive
-        latch taken here excludes in-flight generators, but nothing
-        stops a *later* reader from re-opening the tree by its (now
-        stale) meta page id, so dropping is only safe once the tree's
-        name is unreachable (e.g. under the document's exclusive latch).
+        The instance is unusable afterwards.  Nothing here keeps a
+        reader from re-opening the tree by its (now stale) meta page id,
+        so dropping is only safe once the tree's name is unreachable
+        (e.g. under the document's exclusive latch); snapshots pinned
+        before the drop keep reading the pages until they are released.
         """
-        with self._latch.exclusive():
-            pages: list[int] = []
-            stack = [self.root_page_id]
-            seen = set()
-            while stack:
-                page_id = stack.pop()
-                if page_id in seen:
-                    continue  # pragma: no cover - defensive
-                seen.add(page_id)
-                node = self._read_node(page_id)
-                pages.append(page_id)
-                if node.is_leaf:
-                    # Delete-without-rebalance can leave empty leaves
-                    # reachable only through the chain; walk it too.
-                    if node.next_leaf and node.next_leaf not in seen:
-                        stack.append(node.next_leaf)
-                else:
-                    stack.extend(node.children)
-            pages.append(self.meta_page_id)
-            for page_id in pages:
-                self.buffer_pool.free_page(page_id)
+        pages: list[int] = []
+        stack = [self.root_page_id]
+        seen = set()
+        while stack:
+            page_id = stack.pop()
+            if page_id in seen:
+                continue  # pragma: no cover - defensive
+            seen.add(page_id)
+            node = self._read_node(page_id)
+            pages.append(page_id)
+            if node.is_leaf:
+                # Delete-without-rebalance can leave empty leaves
+                # reachable only through the chain; walk it too.
+                if node.next_leaf and node.next_leaf not in seen:
+                    stack.append(node.next_leaf)
+            else:
+                stack.extend(node.children)
+        pages.append(self.meta_page_id)
+        for page_id in pages:
+            self.buffer_pool.free_page(page_id)
 
     # -- bulk loading -------------------------------------------------------------
 
@@ -485,11 +467,6 @@ class BTree:
         Only valid on an empty tree.  Leaves are packed to ``fill_factor``
         of the page and chained; internal levels are built bottom-up.
         """
-        with self._latch.exclusive():
-            self._bulk_load(items, fill_factor)
-
-    def _bulk_load(self, items: Iterable[tuple[bytes, bytes]],
-                   fill_factor: float) -> None:
         if self.entry_count:
             raise BTreeError("bulk_load requires an empty tree")
         capacity = int(self._max_node_size() * fill_factor)
@@ -561,11 +538,10 @@ class BTree:
 
     def leaf_page_count(self) -> int:
         """Number of leaf pages (walks the leaf chain)."""
-        with self._latch.shared():
-            count = 0
-            leaf = self._leftmost_leaf()
-            while True:
-                count += 1
-                if leaf.next_leaf == 0:
-                    return count
-                leaf = self._read_node(leaf.next_leaf)
+        count = 0
+        leaf = self._leftmost_leaf()
+        while True:
+            count += 1
+            if leaf.next_leaf == 0:
+                return count
+            leaf = self._read_node(leaf.next_leaf)

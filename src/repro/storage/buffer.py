@@ -21,17 +21,19 @@ Multi-version concurrency control
 ---------------------------------
 
 On top of the frame table the pool keeps an in-memory *version store*:
-before a write transaction mutates a page for the first time, the
-committed image is captured; at commit the captured images are published
-into per-page version chains tagged with the commit's sequence number
-(the *commit LSN*).  A reader *pins a snapshot* — the commit LSN at pin
+the first time a write transaction replaces a page, the committed buffer
+it supersedes is kept; at commit those buffers are published into
+per-page version chains tagged with the commit's sequence number (the
+*commit LSN*).  A reader *pins a snapshot* — the commit LSN at pin
 time — and binds it to its thread; every page read made while bound
 resolves against the chains, so the reader sees exactly the state as of
 its pin, never blocking on (or being blocked by) writers.  Old versions
 are reclaimed as soon as no pinned snapshot can still need them, and
 page frees are deferred until no pinned snapshot can still *reach* the
 page (the pager free destroys the page's bytes).  The full lifecycle is
-documented in ``docs/mvcc.md``.
+documented in ``docs/mvcc.md``.  None of it takes a page latch: a page
+buffer that another thread can reach is never mutated again (see
+:class:`BufferPool`).
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import BufferPoolError
-from repro.storage.latch import SharedLatch
 from repro.storage.pager import Pager
 
 
@@ -70,9 +71,9 @@ class BufferStats:
         return replace(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
-    data: bytearray
+    data: bytes | bytearray
     pin_count: int = 0
     dirty: bool = False
     #: Bumped on every dirtying event.  The group committer compares the
@@ -80,11 +81,6 @@ class _Frame:
     #: whether the frame may be marked clean after the durable write-back
     #: (a mismatch means someone re-dirtied the frame in between).
     mod_count: int = 0
-    #: Per-page latch: shared while a reader decodes the page, exclusive
-    #: while a writer mutates its bytes.  The latch lives with the frame,
-    #: which is safe because a page can only be evicted at pin count 0 —
-    #: latch holders are always pinned.
-    latch: SharedLatch = field(default_factory=SharedLatch)
     #: ``data`` decoded (an immutable B+-tree node shared by every tree
     #: instance): cleared on every dirtying event, gone with the frame.
     # guarded by: self._lock (the owning pool's mutex)
@@ -96,23 +92,24 @@ class Snapshot:
 
     Bind it to the current thread with :meth:`BufferPool.reading`; while
     bound, every page access through the pool resolves against the
-    version store.  Pages whose committed-at-``lsn`` image differs from
-    the live frame are served as private copies (``_pages``); pins taken
-    on those copies are *virtual* — tracked here, never on the real
-    frame (``_pins``).  Release via :meth:`BufferPool.release_snapshot`.
+    version store.  A page superseded since the pin is served as the
+    superseded buffer itself; pins taken on it are *virtual* — tracked
+    here (``_pins``), never on the live frame.  ``_seen`` is the pages
+    so served, so ``versioned_reads`` counts first touches.  Release via
+    :meth:`BufferPool.release_snapshot`.
     """
 
-    __slots__ = ("pool", "lsn", "_pages", "_pins", "released")
+    __slots__ = ("pool", "lsn", "_seen", "_pins", "released")
 
     def __init__(self, pool: "BufferPool", lsn: int):
         self.pool = pool
         self.lsn = lsn
-        self._pages: dict[int, bytearray] = {}
+        self._seen: set[int] = set()
         self._pins: dict[int, int] = {}
         self.released = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Snapshot(lsn={self.lsn}, pages={len(self._pages)})"
+        return f"Snapshot(lsn={self.lsn}, versioned={len(self._seen)})"
 
 
 class BufferPool:
@@ -125,11 +122,18 @@ class BufferPool:
     The pool is thread-safe.  A single pool mutex guards the frame table,
     the LRU order, the version store and the counters; it is held only
     for the table manipulation itself, never while page *contents* are
-    being read or written.  Content access is protected separately by
-    per-page latches — see :meth:`latched` — so two sessions can decode
-    different pages concurrently while a third faults in a fresh one.
-    Lock order is pool mutex → pager mutex; per-page latches are acquired
-    with neither held and at most one at a time, so no cycle exists.
+    being decoded or built.  Contents need no lock, on one condition:
+    **a page buffer that another thread can reach is never mutated
+    again**.  Every read resolves "version-chain image, in-flight
+    pre-image or live buffer" under the mutex and returns a reference
+    that stays valid whatever happens to the frame afterwards; a writer
+    builds a fresh image and swaps it in (:meth:`put_page`).  Editing in
+    place — :meth:`new_page` / :meth:`get_page`, then
+    ``unpin(dirty=True)`` — is only for pages no other thread can reach
+    while they change: freshly allocated ones not yet linked from
+    anything shared (a new tree's first nodes, an overflow chain) and
+    heap files private to their creator (spill runs).  Callers of that
+    path must keep it so.  Lock order is pool mutex → pager mutex.
     """
 
     def __init__(self, pager: Pager, capacity: int = 64):
@@ -156,11 +160,11 @@ class BufferPool:
         #: or dropped on abort).
         # guarded by: self._lock
         self._txn_thread: int | None = None
-        #: Committed image of every page the transaction touched, taken
-        #: *before* the first mutation (``None`` = the page was born in
-        #: this transaction and has no snapshot-visible past).
+        #: Committed image of every page the transaction touched — the
+        #: very buffer its first write superseded (``None`` = the page
+        #: was born in this transaction and has no snapshot-visible past).
         # guarded by: self._lock
-        self._txn_preimages: dict[int, bytes | None] = {}
+        self._txn_preimages: dict[int, bytes | bytearray | None] = {}
         #: Page frees issued during the transaction, executed once the
         #: commit is durable *and* no snapshot can still reach the page.
         # guarded by: self._lock
@@ -179,7 +183,7 @@ class BufferPool:
         #: it, i.e. what every snapshot pinned below ``superseded_at``
         #: must read.
         # guarded by: self._lock
-        self._versions: dict[int, list[tuple[int, bytes]]] = {}
+        self._versions: dict[int, list[tuple[int, bytes | bytearray]]] = {}
         #: commit LSN → number of snapshots pinned at it.
         # guarded by: self._lock
         self._snapshots: dict[int, int] = {}
@@ -203,6 +207,12 @@ class BufferPool:
         self.versions_installed = 0
         # guarded by: self._lock
         self.versioned_reads = 0
+
+    def reset_stats(self) -> None:
+        """Start the counters over (a ``stats`` object read before the
+        reset keeps its values)."""
+        with self._lock:
+            self.stats = BufferStats()
 
     @property
     def memory_bytes(self) -> int:
@@ -241,7 +251,7 @@ class BufferPool:
                 self._snapshots.pop(snapshot.lsn, None)
             else:
                 self._snapshots[snapshot.lsn] = count
-            snapshot._pages.clear()
+            snapshot._seen.clear()
             snapshot._pins.clear()
             self._vacuum_locked()
 
@@ -281,35 +291,32 @@ class BufferPool:
         """The live page's decoded form (a logical access); ``None`` when
         not resident, not decoded, or not what the bound snapshot reads.
         Version resolution and lookup are one critical section, so no
-        bound reader gets a node published after the pre-image capture."""
+        bound reader gets a node published after its page was replaced."""
         snapshot = getattr(self._local, "snapshot", None)
         with self._lock:
             frame = self._frames.get(page_id)
             if frame is None or frame.decoded is None or (
-                    snapshot is not None and (
-                        page_id in snapshot._pages
-                        or self._version_image_locked(
-                            page_id, snapshot.lsn) is not None)):
+                    snapshot is not None and self._version_image_locked(
+                        page_id, snapshot.lsn) is not None):
                 return None
             self.stats.hits += 1
             self._frames.move_to_end(page_id)
             return frame.decoded
 
-    def publish_decoded(self, page_id: int, page: bytearray, node: object,
-                        fresh: bool = True) -> None:
-        """Attach ``node``, never mutated again, to the frame it mirrors:
-        ``page`` is the buffer it was decoded from (call inside the
-        :meth:`latched` block) or serialized into (``fresh=False``, after
-        the exclusive block); any buffer but the live frame's own — a
-        snapshot's private copy, a frame since evicted — is ignored."""
+    def publish_decoded(self, page_id: int, page: bytes | bytearray,
+                        node: object) -> None:
+        """Attach ``node``, never mutated again, to the frame it mirrors.
+        ``page`` is the buffer it was decoded from; any buffer but the
+        live frame's own — a superseded version, a frame since evicted
+        or replaced — is ignored."""
         with self._lock:
             frame = self._frames.get(page_id)
             if frame is not None and frame.data is page:
                 frame.decoded = node
-                if fresh:
-                    self.stats.decodes += 1
+                self.stats.decodes += 1
 
-    def _version_image_locked(self, page_id: int, lsn: int) -> bytes | None:
+    def _version_image_locked(self, page_id: int,
+                              lsn: int) -> bytes | bytearray | None:
         """The image a snapshot at ``lsn`` must read, or None for live."""
         chain = self._versions.get(page_id)
         if chain:
@@ -327,59 +334,86 @@ class BufferPool:
             return image
         return None
 
-    def _snapshot_read(self, snapshot: Snapshot, page_id: int,
-                       pin: bool) -> bytearray | None:
-        """Serve a bound read from the version store, or None for live."""
-        with self._lock:
-            data = snapshot._pages.get(page_id)
-            if data is None:
-                image = self._version_image_locked(page_id, snapshot.lsn)
-                if image is None:
-                    return None
-                data = bytearray(image)
-                snapshot._pages[page_id] = data
-                self.versioned_reads += 1
-            self.stats.hits += 1
-            if pin:
-                snapshot._pins[page_id] = snapshot._pins.get(page_id, 0) + 1
-            return data
-
     # -- core protocol -------------------------------------------------------
 
-    def get_page(self, page_id: int, pin: bool = True) -> bytearray:
-        """Return the page's frame data, faulting it in if needed.
+    def get_page(self, page_id: int,
+                 pin: bool = True) -> bytes | bytearray:
+        """Return the page's buffer, faulting it in if needed.
 
-        With ``pin=True`` (default) the caller must balance with
-        :meth:`unpin`; prefer the :meth:`pinned` context manager.  Under
-        a bound snapshot, pages superseded since the snapshot's pin are
-        served as private read-only copies instead of the live frame.
+        One critical section resolves what this thread must read — under
+        a bound snapshot the version-chain image or in-flight pre-image
+        current at its pin, else the live buffer — and returns a
+        reference, which stays valid without a pin.  ``pin=True``
+        (default) also keeps the *frame* resident, for a caller about to
+        edit a private page in place; balance it with :meth:`unpin`
+        (prefer :meth:`pinned`).
         """
         snapshot = getattr(self._local, "snapshot", None)
-        if snapshot is not None:
-            data = self._snapshot_read(snapshot, page_id, pin)
-            if data is not None:
-                return data
         with self._lock:
-            frame = self._frames.get(page_id)
-            if frame is not None:
-                self.stats.hits += 1
-                self._frames.move_to_end(page_id)
-            else:
-                self.stats.misses += 1
-                self._make_room_locked()
-                frame = _Frame(self.pager.read_page(page_id))
-                self._frames[page_id] = frame
+            if snapshot is not None:
+                image = self._version_image_locked(page_id, snapshot.lsn)
+                if image is not None:
+                    self.stats.hits += 1
+                    if page_id not in snapshot._seen:
+                        snapshot._seen.add(page_id)
+                        self.versioned_reads += 1
+                    if pin:
+                        snapshot._pins[page_id] = (
+                            snapshot._pins.get(page_id, 0) + 1)
+                    return image
+            frame = self._frame_locked(page_id)
             if pin:
                 frame.pin_count += 1
             return frame.data
 
+    def _frame_locked(self, page_id: int) -> _Frame:
+        """The page's frame, faulted in if needed: one logical access."""
+        frame = self._frames.get(page_id)
+        if frame is not None:
+            self.stats.hits += 1
+            self._frames.move_to_end(page_id)
+        else:
+            self.stats.misses += 1
+            self._make_room_locked()
+            frame = _Frame(self.pager.read_page(page_id))
+            self._frames[page_id] = frame
+        return frame
+
+    def put_page(self, page_id: int, image: bytes | bytearray,
+                 decoded: object | None = None) -> None:
+        """Publish ``image`` — which the caller must never touch again —
+        as the page's content, with ``decoded`` as its decoded form.
+
+        One critical section: the superseded buffer *itself* becomes the
+        write transaction's pre-image (first write only), so snapshots
+        and anyone still decoding it keep reading it unchanged, and the
+        frame points at ``image``, dirty.  One logical access, like a read.
+        """
+        if len(image) != self.pager.page_size:
+            raise BufferPoolError(
+                f"page image of {len(image)} bytes, expected "
+                f"{self.pager.page_size}")
+        if getattr(self._local, "snapshot", None) is not None:
+            raise BufferPoolError("page write under a bound snapshot — "
+                                  "snapshot readers are read-only")
+        with self._lock:
+            frame = self._frame_locked(page_id)
+            if self._tracking_here_locked():
+                self._txn_preimages.setdefault(page_id, frame.data)
+                self._tracked.add(page_id)
+            frame.data = image
+            frame.decoded = decoded
+            frame.dirty = True
+            frame.mod_count += 1
+
     def unpin(self, page_id: int, dirty: bool = False) -> None:
-        """Release one pin; ``dirty=True`` marks the page for write-back."""
+        """Release one pin; ``dirty=True`` says the caller edited the
+        buffer in place (private pages only — see the class docstring)."""
         snapshot = getattr(self._local, "snapshot", None)
         if snapshot is not None and snapshot._pins.get(page_id, 0) > 0:
             if dirty:
                 raise BufferPoolError(
-                    f"snapshot copy of page {page_id} is read-only")
+                    f"snapshot image of page {page_id} is read-only")
             snapshot._pins[page_id] -= 1
             return
         with self._lock:
@@ -389,21 +423,10 @@ class BufferPool:
                                       "not pinned")
             frame.pin_count -= 1
             if dirty:
-                frame.dirty = True
-                frame.mod_count += 1
-                frame.decoded = None
-                if self._tracking_here_locked():
-                    # Pages first dirtied through this path are expected
-                    # to be transaction-born (heap appends, overflow
-                    # chains) and therefore already captured as None by
-                    # new_page; the fallback capture keeps an unexpected
-                    # late-dirtying path from leaking uncommitted bytes
-                    # into the file via eviction.
-                    self._capture_preimage_locked(page_id, frame)
-                    self._tracked.add(page_id)
+                self._edited_in_place_locked(page_id, frame)
 
     @contextmanager
-    def pinned(self, page_id: int) -> Iterator[bytearray]:
+    def pinned(self, page_id: int) -> Iterator[bytes | bytearray]:
         """Pin a page for the duration of a ``with`` block (read-only)."""
         data = self.get_page(page_id)
         try:
@@ -411,85 +434,28 @@ class BufferPool:
         finally:
             self.unpin(page_id)
 
-    @contextmanager
-    def latched(self, page_id: int,
-                exclusive: bool = False) -> Iterator[bytearray]:
-        """Pin a page *and* hold its per-page latch for a ``with`` block.
-
-        Shared mode (default) admits any number of concurrent readers of
-        the same page; ``exclusive=True`` is required while mutating the
-        page bytes and excludes every other latch holder.  The pin is
-        taken first (under the pool mutex) so the frame — and with it the
-        latch — cannot be evicted while we wait; the latch itself is then
-        acquired with no pool-level lock held, so a slow reader never
-        stalls unrelated faults.  Exclusive latching marks the page dirty
-        on exit.
-
-        Under a bound snapshot (readers only — exclusive latching while
-        bound is an error), a versioned page is served as its private
-        snapshot copy without touching the frame or its latch; a live
-        page is re-validated against the version store *after* the shared
-        latch is held, closing the race with a writer capturing the
-        pre-image and mutating between resolution and latch acquisition.
-        """
-        snapshot = getattr(self._local, "snapshot", None)
-        if snapshot is not None:
-            if exclusive:
-                raise BufferPoolError(
-                    "exclusive page latch under a bound snapshot — "
-                    "snapshot readers are read-only")
-            data = self._snapshot_read(snapshot, page_id, pin=False)
-            if data is not None:
-                yield data
-                return
-            # Live so far: pin the real frame, take the shared latch,
-            # then re-check (a commit may have versioned the page in
-            # between; the latch guarantees no mutation mid-decode).
-            with self.unbound():
-                data = self.get_page(page_id)
-            with self._lock:
-                frame = self._frames[page_id]
-            try:
-                with frame.latch.shared():
-                    copy = self._snapshot_read(snapshot, page_id, pin=False)
-                    yield copy if copy is not None else data
-            finally:
-                with self.unbound():
-                    self.unpin(page_id)
-            return
-        data = self.get_page(page_id)
-        with self._lock:
-            frame = self._frames[page_id]
-        latch = frame.latch
-        try:
-            with (latch.exclusive() if exclusive else latch.shared()):
-                if exclusive:
-                    # Capture the committed image now, with the latch
-                    # held (bytes are stable) and before any mutation —
-                    # unpin(dirty=True) at exit would be too late, the
-                    # latch is released first.
-                    with self._lock:
-                        frame.decoded = None
-                        if self._tracking_here_locked():
-                            self._capture_preimage_locked(page_id, frame)
-                            self._tracked.add(page_id)
-                yield data
-        finally:
-            self.unpin(page_id, dirty=exclusive)
-
     def mark_dirty(self, page_id: int) -> None:
-        """Mark a resident page dirty without changing its pin count."""
+        """Mark a resident page edited in place; its pin count stays."""
         with self._lock:
             frame = self._frames.get(page_id)
             if frame is None:
                 raise BufferPoolError(f"mark_dirty of non-resident page "
                                       f"{page_id}")
-            frame.dirty = True
-            frame.mod_count += 1
-            frame.decoded = None
-            if self._tracking_here_locked():
-                self._capture_preimage_locked(page_id, frame)
-                self._tracked.add(page_id)
+            self._edited_in_place_locked(page_id, frame)
+
+    def _edited_in_place_locked(self, page_id: int, frame: _Frame) -> None:
+        frame.dirty = True
+        frame.mod_count += 1
+        frame.decoded = None
+        if self._tracking_here_locked():
+            # Pages edited in place are expected to be transaction-born
+            # (heap appends, overflow chains), so new_page already
+            # recorded them as None.  The fallback keeps an unexpected
+            # late-dirtying path from leaking uncommitted bytes into the
+            # file via eviction; it copies, as this buffer keeps changing.
+            if page_id not in self._txn_preimages:
+                self._txn_preimages[page_id] = bytearray(frame.data)
+            self._tracked.add(page_id)
 
     def new_page(self) -> tuple[int, bytearray]:
         """Allocate a fresh page and return it pinned and dirty."""
@@ -521,11 +487,14 @@ class BufferPool:
             frame = self._frames.get(page_id)
             if frame is not None and frame.pin_count > 0:
                 # Checked before touching the table: a refused free must
-                # leave the pin holder's frame (and latch) fully intact.
+                # leave the pin holder's frame fully intact.
                 raise BufferPoolError(f"freeing pinned page {page_id}")
             self._frames.pop(page_id, None)
             if self._tracking_here_locked():
-                self._capture_preimage_locked(page_id, frame)
+                if page_id not in self._txn_preimages:
+                    self._txn_preimages[page_id] = (
+                        frame.data if frame is not None
+                        else self.pager.read_page(page_id))
                 self._tracked.discard(page_id)
                 self._deferred_frees.append(page_id)
                 return
@@ -544,19 +513,6 @@ class BufferPool:
         """Is a write transaction active *and* owned by this thread?"""
         return (self._tracked is not None
                 and self._txn_thread == threading.get_ident())
-
-    def _capture_preimage_locked(self, page_id: int,
-                                 frame: _Frame | None) -> None:
-        """Record the page's committed image, once per transaction."""
-        if page_id in self._txn_preimages:
-            return
-        if frame is None:
-            frame = self._frames.get(page_id)
-        if frame is not None:
-            self._txn_preimages[page_id] = bytes(frame.data)
-        else:
-            self._txn_preimages[page_id] = bytes(
-                self.pager.read_page(page_id))
 
     # -- eviction / flushing ---------------------------------------------------
 
@@ -737,9 +693,9 @@ class BufferPool:
     def end_tracking_abort(self) -> None:
         """Throw the transaction's writes away without touching the file.
 
-        No-steal guarantees none of them reached disk, so restoring the
-        captured pre-images (or dropping transaction-born frames) brings
-        back the pre-transaction state; deferred frees are forgotten (the
+        No-steal guarantees none of them reached disk, so swapping the
+        superseded buffers back in (or dropping the frames) brings back
+        the pre-transaction state; deferred frees are forgotten (the
         pages were only *going* to be freed).  Decoded nodes go with the
         frames; tree instances' meta fields over them are still stale.
         """
@@ -766,8 +722,8 @@ class BufferPool:
                         and page_id in self._held):
                     # The frame carries a previous commit whose durable
                     # write-back is still pending; dropping it would lose
-                    # that committed image, so restore the bytes instead.
-                    frame.data[:] = image
+                    # that committed image, so put the old buffer back.
+                    frame.data = image
                     frame.mod_count += 1
                     frame.decoded = None
                 else:
@@ -817,10 +773,6 @@ class BufferPool:
         with self._lock:
             frame = self._frames.get(page_id)
             return frame.pin_count if frame is not None else 0
-
-    def committed_lsn(self) -> int:
-        with self._lock:
-            return self._committed_lsn
 
     def mvcc_stats(self) -> dict[str, int]:
         """Current MVCC gauges and lifetime counters."""

@@ -59,22 +59,21 @@ class Database:
     name→object operation (existence check + create, lookup + open,
     lookup + drop) atomic, so two sessions spilling intermediates — or a
     ``load`` racing a reader opening the same document — cannot interleave
-    inside the catalog.  Objects handed out (trees, heaps) carry their
-    own latches; page access below is protected by the buffer pool.
+    inside the catalog.  Objects handed out (trees, heaps) hold no lock
+    of their own: readers use them under a pinned snapshot, one writer
+    at a time changes them, and the buffer pool never mutates a page
+    buffer a reader holds (see :mod:`repro.storage.buffer`).
     """
 
     def __init__(self, path: str, create: bool = False,
                  buffer_capacity: int = 256, page_size: int = PAGE_SIZE,
-                 wal: bool = True, checkpoint_interval: int = 16):
+                 checkpoint_interval: int = 16):
         wal_path = default_wal_path(path)
         self.last_recovery: RecoveryReport | None = None
         if not create:
             # Replay any committed-but-unapplied transactions *before*
             # the pager parses the file: the header page itself may be
-            # among the logged images.  This runs even with wal=False —
-            # a log left by a previous WAL-enabled process may hold the
-            # only copy of acknowledged commits, and skipping (or worse,
-            # deleting) it would lose durable data over a torn file.
+            # among the logged images.
             self.last_recovery = recover(path, wal_path)
         elif os.path.exists(wal_path):
             # Fresh database over an old path: stale log records must
@@ -84,15 +83,13 @@ class Database:
         self.buffer_pool = BufferPool(self.pager, capacity=buffer_capacity)
         self.overflow = OverflowStore(self.buffer_pool)
         self._lock = threading.RLock()
-        self._wal = (WriteAheadLog(wal_path, self.pager.page_size)
-                     if wal else None)
+        self._wal = WriteAheadLog(wal_path, self.pager.page_size)
         #: Group-commit daemon: batches the fsyncs of pipelined commits
         #: and runs the durable write-back (see
         #: :class:`~repro.storage.wal.GroupCommitter`).  Owned here, not
         #: by any server layer, so a worker parked on a commit ticket
         #: always gets its fsync even while the serving stack shuts down.
-        self._committer = (GroupCommitter(self._wal, self._complete_commit)
-                           if wal else None)
+        self._committer = GroupCommitter(self._wal, self._complete_commit)
         #: Serializes write transactions and checkpoints (one at a time;
         #: reads need no transaction and are unaffected).
         self._txn_lock = threading.RLock()
@@ -118,26 +115,25 @@ class Database:
 
     @classmethod
     def create(cls, path: str, buffer_capacity: int = 256,
-               page_size: int = PAGE_SIZE, wal: bool = True,
+               page_size: int = PAGE_SIZE,
                checkpoint_interval: int = 16) -> "Database":
         return cls(path, create=True, buffer_capacity=buffer_capacity,
-                   page_size=page_size, wal=wal,
+                   page_size=page_size,
                    checkpoint_interval=checkpoint_interval)
 
     @classmethod
-    def open(cls, path: str, buffer_capacity: int = 256, wal: bool = True,
+    def open(cls, path: str, buffer_capacity: int = 256,
              checkpoint_interval: int = 16) -> "Database":
         return cls(path, create=False, buffer_capacity=buffer_capacity,
-                   wal=wal, checkpoint_interval=checkpoint_interval)
+                   checkpoint_interval=checkpoint_interval)
 
     def close(self) -> None:
-        if self._wal is not None:
-            # Drain first: parked commits get their fsync and their ack
-            # (never a silent drop), and the checkpoint below then sees
-            # no held-back frames.
-            self._committer.close()
-            self.checkpoint()
-            self._wal.close()
+        # Drain first: parked commits get their fsync and their ack
+        # (never a silent drop), and the checkpoint below then sees no
+        # held-back frames.
+        self._committer.close()
+        self.checkpoint()
+        self._wal.close()
         self.buffer_pool.flush_and_clear()
         self.pager.close()
 
@@ -173,20 +169,12 @@ class Database:
         pipelined writers share one fsync.
 
         Transactions serialize on a database-level lock (reentrancy is
-        allowed and joins the outer transaction).  Without a WAL
-        (``wal=False``) the block simply runs unprotected.
+        allowed and joins the outer transaction).
 
         The transaction's working set must fit the buffer pool; a block
         dirtying more pages than there are frames raises
         :class:`~repro.errors.BufferPoolError` and aborts cleanly.
         """
-        if self._wal is None:
-            txn = Transaction(self)
-            yield txn
-            txn.commit_lsn = self.buffer_pool.committed_lsn()
-            for callback in txn._on_publish:
-                callback()
-            return
         with self._txn_lock:
             if self._txn_depth:
                 # Reentrant use joins the enclosing transaction: the
@@ -256,9 +244,7 @@ class Database:
         :meth:`Transaction.wait_durable`, keeping log growth bounded on
         the pipelined-commit path too.
         """
-        if (self._wal is not None
-                and self._wal.commits_since_checkpoint
-                >= self.checkpoint_interval):
+        if self._wal.commits_since_checkpoint >= self.checkpoint_interval:
             self.checkpoint()
 
     def checkpoint(self) -> None:
@@ -267,10 +253,8 @@ class Database:
         Bounds recovery work and log growth.  Must also be called before
         mutating the file *outside* a transaction (bulk loads): resetting
         the log first guarantees no stale record can later replay over
-        unlogged writes.  No-op without a WAL.
+        unlogged writes.
         """
-        if self._wal is None:
-            return
         with self._txn_lock:
             if self.buffer_pool.in_transaction:
                 raise WalError("checkpoint during an open transaction")
@@ -282,10 +266,6 @@ class Database:
             self.pager.write_header()
             self.pager.sync()
             self._wal.checkpoint()
-
-    @property
-    def wal_enabled(self) -> bool:
-        return self._wal is not None
 
     def __enter__(self) -> "Database":
         return self
@@ -445,17 +425,12 @@ class Database:
         return self.buffer_pool.stats
 
     def reset_stats(self) -> None:
-        self.buffer_pool.stats.__init__()
+        self.buffer_pool.reset_stats()
 
     def mvcc_stats(self) -> dict[str, int]:
         """Snapshot/version gauges plus group-commit counters."""
         stats = self.buffer_pool.mvcc_stats()
-        if self._committer is not None:
-            stats.update(self._committer.stats())
-        else:
-            stats.update({"group_commits": 0, "group_fsyncs": 0,
-                          "fsyncs_saved": 0, "max_batch": 0,
-                          "pending_commits": 0})
+        stats.update(self._committer.stats())
         return stats
 
 
@@ -486,7 +461,7 @@ class Transaction:
         """Block until the commit's covering fsync completed.
 
         Raises :class:`~repro.errors.WalError` if the group committer
-        failed.  No-op for aborted blocks and WAL-less databases.
+        failed.  No-op for aborted blocks.
         """
         if self._ticket is not None:
             self._ticket.wait(timeout)

@@ -1,28 +1,19 @@
-"""Latching primitives for the concurrent storage layer.
+"""The document latch: a shared/exclusive latch for DDL quiesce.
 
-The paper scoped concurrency control out ("completely disregard
-concurrency control and recovery"); the serving layer scopes it back in.
-The storage layer needs *latches* (short physical locks protecting
-in-memory structures) rather than full transactional lock tables:
-transaction-level isolation for updates is provided one level up, by
-the per-document latches in :class:`~repro.core.dbms.XmlDbms` plus the
-database-wide write-transaction lock:
+Page contents need no latch — published page buffers are immutable and
+readers run on MVCC snapshots (:mod:`repro.storage.buffer`) — and write
+transactions serialise on the database's transaction lock.  What is
+left is :class:`~repro.core.dbms.XmlDbms`'s per-document latch: served
+reads hold it shared for the life of their read ticket, and the rare
+operations that must wait until no reader is inside the document (index
+build and drop) hold it exclusively.
 
-* :class:`SharedLatch` is a reader-preference shared/exclusive latch.
-  Any number of readers hold it together; a writer holds it alone.
-  Readers never wait behind a merely *waiting* writer, which makes
-  nested shared acquisition from one thread (a scan inside a scan, a
-  prefix scan delegating to a range scan) deadlock-free by construction.
-  Writer starvation is possible in principle under a saturated read
-  load; in practice writes happen on the rare ``load``/``drop``/
-  ``update`` paths and at spill-file creation, with gaps between
-  reader batches.
-
-The trade-off is deliberate: with CPython's GIL the latches are not
-buying parallel speed-ups, they are buying *well-defined interleavings* —
-an ``OrderedDict`` LRU move, a B+-tree split or a pager ``seek``/``read``
-pair is not atomic, and two threads mid-operation can corrupt the
-structure even under the GIL.
+:class:`SharedLatch` is reader-preference: any number of readers hold it
+together, a writer holds it alone, and readers never wait behind a
+merely *waiting* writer — so nested shared acquisition from one thread
+is deadlock-free by construction.  Writer starvation is possible in
+principle under a saturated read load; the exclusive side is DDL, with
+gaps between reader batches.
 """
 
 from __future__ import annotations
@@ -34,11 +25,6 @@ from contextlib import contextmanager
 
 class SharedLatch:
     """A shared/exclusive (readers–writer) latch, reader-preference.
-
-    ``shared()`` and ``exclusive()`` are the context-manager entry
-    points; the ``acquire_*``/``release_*`` pairs exist for callers whose
-    critical section does not nest lexically (e.g. a generator that must
-    hold the latch across ``yield``\\ s and release it on ``close()``).
 
     Supported nestings: shared-inside-shared (any threads),
     exclusive-inside-exclusive and shared-inside-exclusive (same
@@ -54,72 +40,43 @@ class SharedLatch:
         self._writer: threading.Thread | None = None
         self._writer_depth = 0
 
-    # -- shared (read) side -------------------------------------------------
-
-    def acquire_shared(self) -> None:
+    @contextmanager
+    def shared(self) -> Iterator[None]:
+        me = threading.current_thread()
         with self._mutex:
-            me = threading.current_thread()
-            # Reader preference: only an *active* writer blocks a reader
-            # (``_writer`` is installed strictly after the writer wins,
-            # never while it waits), so shared-inside-shared can never
-            # queue behind a waiting writer.  A thread that already
-            # holds the latch exclusively may read under it (insert()
-            # re-reading nodes it just wrote).
+            # Only an *active* writer blocks a reader (``_writer`` is
+            # installed strictly after the writer wins, never while it
+            # waits).  A thread holding the latch exclusively may read
+            # under it.
             while self._writer is not None and self._writer is not me:
                 self._turnstile.wait()
             self._active_readers += 1
-
-    def release_shared(self) -> None:
-        with self._mutex:
-            self._active_readers -= 1
-            if self._active_readers == 0:
-                self._turnstile.notify_all()
-
-    @contextmanager
-    def shared(self) -> Iterator[None]:
-        self.acquire_shared()
         try:
             yield
         finally:
-            self.release_shared()
-
-    # -- exclusive (write) side ---------------------------------------------
-
-    def acquire_exclusive(self) -> None:
-        with self._mutex:
-            me = threading.current_thread()
-            if self._writer is me:        # reentrant for one thread
-                self._writer_depth += 1
-                return
-            # The writer is installed only once it actually holds the
-            # latch alone; while waiting it blocks nobody (reader
-            # preference — new readers overtake it, by design).
-            while self._writer is not None or self._active_readers:
-                self._turnstile.wait()
-            self._writer = me
-            self._writer_depth = 1
-
-    def release_exclusive(self) -> None:
-        with self._mutex:
-            if self._writer is not threading.current_thread():
-                raise RuntimeError("release_exclusive by a thread that "
-                                   "does not hold the latch")
-            self._writer_depth -= 1
-            if self._writer_depth == 0:
-                self._writer = None
-                self._turnstile.notify_all()
+            with self._mutex:
+                self._active_readers -= 1
+                if self._active_readers == 0:
+                    self._turnstile.notify_all()
 
     @contextmanager
     def exclusive(self) -> Iterator[None]:
-        self.acquire_exclusive()
+        me = threading.current_thread()
+        with self._mutex:
+            if self._writer is me:        # reentrant for one thread
+                self._writer_depth += 1
+            else:
+                # While waiting the writer blocks nobody (new readers
+                # overtake it, by design).
+                while self._writer is not None or self._active_readers:
+                    self._turnstile.wait()
+                self._writer = me
+                self._writer_depth = 1
         try:
             yield
         finally:
-            self.release_exclusive()
-
-    # -- introspection ------------------------------------------------------
-
-    def held_exclusively(self) -> bool:
-        """True iff the *calling thread* holds the latch exclusively."""
-        with self._mutex:
-            return self._writer is threading.current_thread()
+            with self._mutex:
+                self._writer_depth -= 1
+                if self._writer_depth == 0:
+                    self._writer = None
+                    self._turnstile.notify_all()

@@ -86,35 +86,35 @@ def test_unparseable_file_is_an_rl000_finding():
 # -- RL001: lock order ------------------------------------------------------
 
 _RL001_BAD = """
-class BufferPool:
-    def flush(self, frame):
+class XmlDbms:
+    def create_index(self, document):
         with self._lock:
-            with frame.latch.exclusive():
+            with self.document_latch(document).exclusive():
                 pass
 """
 
 _RL001_GOOD = """
-class BufferPool:
-    def flush(self, frame):
-        with frame.latch.exclusive():
+class XmlDbms:
+    def create_index(self, document):
+        with self.document_latch(document).exclusive():
             with self._lock:
                 pass
 """
 
 
-def test_rl001_flags_page_latch_inside_pool_mutex():
-    # The fixture acquires a page latch (rank 70, outer) while already
-    # holding the buffer-pool mutex (rank 80, inner) — inverted
+def test_rl001_flags_document_latch_inside_catalog_lock():
+    # The fixture acquires the document latch (rank 40, outer) while
+    # already holding the catalog lock (rank 50, inner) — inverted
     # against the declared order.
-    bad = _findings("src/repro/storage/buffer.py", _RL001_BAD,
+    bad = _findings("src/repro/core/dbms.py", _RL001_BAD,
                     rules=["RL001"])
     assert _rules_of(bad) == ["RL001"]
-    assert "page latch" in bad[0].message
-    assert "buffer-pool mutex" in bad[0].message
+    assert "document latch" in bad[0].message
+    assert "catalog lock" in bad[0].message
 
 
 def test_rl001_passes_the_declared_order():
-    good = _findings("src/repro/storage/buffer.py", _RL001_GOOD,
+    good = _findings("src/repro/core/dbms.py", _RL001_GOOD,
                      rules=["RL001"])
     assert good == []
 
@@ -133,24 +133,23 @@ def test_rl001_ignores_equal_rank_reentry():
 
 
 def test_rl001_tracks_conditional_latch_expressions():
-    # The real buffer pool acquires via an IfExp:
-    # ``with (l.exclusive() if x else l.shared()):`` — both arms must
-    # be seen as page-latch acquisitions.  Taking the catalog lock
-    # (rank 50) under one is an inversion.
+    # A latch taken via an IfExp —
+    # ``with (l.exclusive() if x else l.shared()):`` — must be seen as
+    # an acquisition in both arms.  Taking the query-server lifecycle
+    # lock (rank 20) under the document latch (rank 40) is an inversion.
     source = (
-        "class XmlDbms:\n"
-        "    def touch(self, frame, exclusive):\n"
-        "        latch = frame.latch\n"
-        "        with (latch.exclusive() if exclusive\n"
-        "              else latch.shared()):\n"
-        "            with self._lock:\n"
+        "class QueryServer:\n"
+        "    def touch(self, dbms, name, exclusive):\n"
+        "        with (dbms.document_latch(name).exclusive() if exclusive\n"
+        "              else dbms.document_latch(name).shared()):\n"
+        "            with self._lifecycle_lock:\n"
         "                pass\n"
     )
-    findings = _findings("src/repro/core/dbms.py", source,
+    findings = _findings("src/repro/core/server.py", source,
                          rules=["RL001"])
     assert _rules_of(findings) == ["RL001"]
-    assert "catalog lock" in findings[0].message
-    assert "page latch" in findings[0].message
+    assert "lifecycle lock" in findings[0].message
+    assert "document latch" in findings[0].message
 
 
 # -- RL002: guarded-by ------------------------------------------------------
@@ -475,7 +474,7 @@ def test_validate_hierarchy_flags_a_dead_declaration():
     findings = validate_hierarchy(modules)
     assert [f.rule for f in findings] == ["RL000"]
     assert "pager I/O mutex" in findings[0].message
-    assert len(LOCK_HIERARCHY) == 12
+    assert len(LOCK_HIERARCHY) == 10
 
 
 def test_validate_hierarchy_skips_foreign_modules():

@@ -9,13 +9,15 @@ progress (every test runs under a global deadlock timeout).
 Layers under test:
 
 * the :class:`~repro.storage.latch.SharedLatch` primitive itself;
-* the latched B+-tree (concurrent scans racing inserts vs. a dict model);
+* the B+-tree under the protocol production uses — a writer inside
+  ``db.transaction()``, readers under pinned snapshots — vs. a dict model;
 * the shared engine/plan caches (the stress test);
 * catalog races — ``load()`` replacing a document under an open cursor;
 * the :class:`~repro.core.server.QueryServer` worker pool, admission
   control and deadlines.
 """
 
+import sys
 import threading
 import time
 
@@ -31,9 +33,8 @@ from repro.errors import (
     XQSyntaxError,
 )
 from repro.storage.btree import BTree
-from repro.storage.buffer import BufferPool
+from repro.storage.db import Database
 from repro.storage.latch import SharedLatch
-from repro.storage.pager import Pager
 from repro.storage.record import encode_key
 from repro.workloads.dblp import DblpConfig, generate_dblp
 from repro.workloads.queries import CORRECTNESS_QUERIES
@@ -137,16 +138,22 @@ class TestSharedLatch:
 
     def test_exclusive_is_reentrant_and_allows_shared_inside(self):
         latch = SharedLatch()
-        with latch.exclusive():
-            with latch.exclusive():
-                with latch.shared():
-                    assert latch.held_exclusively()
-        assert not latch.held_exclusively()
+        inside, outside = [], []
 
-    def test_release_exclusive_by_stranger_raises(self):
-        latch = SharedLatch()
-        with pytest.raises(RuntimeError):
-            latch.release_exclusive()
+        def owner():
+            with latch.exclusive():
+                with latch.exclusive():
+                    with latch.shared():
+                        inside.append(True)
+
+        def stranger():
+            with latch.exclusive():
+                outside.append(True)
+
+        run_threads([owner])
+        # Every nested hold was released: another thread gets it alone.
+        run_threads([stranger])
+        assert inside and outside
 
     def test_nested_shared_overtakes_a_waiting_writer(self):
         """Reader preference, the property the B+-tree depends on: a
@@ -175,69 +182,121 @@ class TestSharedLatch:
 
 
 # ---------------------------------------------------------------------------
-# latched B+-tree vs. dict model
+# B+-tree vs. dict model: transactional writers, snapshot readers
 # ---------------------------------------------------------------------------
 
 
 class TestBTreeUnderConcurrency:
-    def test_scans_race_inserts_without_corruption(self, tmp_path):
-        pager = Pager(str(tmp_path / "t.db"), create=True, page_size=512)
-        pool = BufferPool(pager, capacity=64)
-        tree = BTree.create(pool)
+    """A tree instance is not a synchronisation point; the protocol is.
+    Writers run inside ``db.transaction()`` (one at a time), every
+    reader opens its own instance under a pinned snapshot — and sees
+    exactly the commits at or below its pin, never a half-applied
+    split, while taking no latch anywhere."""
+
+    @pytest.fixture
+    def db(self, tmp_path):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Database(str(tmp_path / "t.db"), create=True,
+                          buffer_capacity=256, page_size=512) as db:
+                yield db
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def snapshot_reader(db, meta, check):
+        """Run ``check(tree)`` on a fresh instance under a fresh pin."""
+        pool = db.buffer_pool
+        snapshot = pool.pin_snapshot()
+        try:
+            with pool.reading(snapshot):
+                check(BTree(pool, meta))
+        finally:
+            pool.release_snapshot(snapshot)
+
+    def test_scans_race_inserts_without_corruption(self, db):
+        with db.transaction():
+            tree = BTree.create(db.buffer_pool)
+        meta = tree.meta_page_id
         committed = {}
         commit_lock = threading.Lock()
+        writing = [2]
+        racing = []
 
         def writer(base):
             def run():
-                for i in range(150):
-                    key = base + i * 7
+                try:
+                    for i in range(150):
+                        key = base + i * 7
+                        with db.transaction():
+                            tree.insert(encode_key((key,)),
+                                        str(key).encode(), replace=True)
+                        with commit_lock:   # any later pin sees it
+                            committed[key] = str(key).encode()
+                finally:
                     with commit_lock:
-                        tree.insert(encode_key((key,)),
-                                    str(key).encode(), replace=True)
-                        committed[key] = str(key).encode()
+                        writing[0] -= 1
             return run
 
         def scanner():
-            for __ in range(60):
+            while True:
                 with commit_lock:
                     expected = dict(committed)
-                got = dict(tree.range_scan())
-                # Every key committed before the scan started must be
-                # present with its exact value; keys are strictly
-                # ascending (no torn splits).
-                keys = list(got)
-                assert keys == sorted(keys)
-                for key, value in expected.items():
-                    assert got[encode_key((key,))] == value
+                    last = not writing[0]
 
-        try:
-            run_threads([writer(0), writer(100_000), scanner, scanner])
-            assert dict(tree.range_scan()) == {
-                encode_key((key,)): value
-                for key, value in committed.items()}
-        finally:
-            pager.close()
+                def check(mine):
+                    got = dict(mine.range_scan())
+                    # Every key committed before the pin must be
+                    # present with its exact value; keys are strictly
+                    # ascending (no torn splits).
+                    keys = list(got)
+                    assert keys == sorted(keys)
+                    for key, value in expected.items():
+                        assert got[encode_key((key,))] == value
+                    if 0 < len(got) < 300:
+                        racing.append(len(got))
 
-    def test_point_lookups_race_inserts(self, tmp_path):
-        pager = Pager(str(tmp_path / "p.db"), create=True, page_size=512)
-        pool = BufferPool(pager, capacity=32)
-        tree = BTree.create(pool)
-        for i in range(300):
-            tree.insert(encode_key((i,)), str(i).encode())
+                self.snapshot_reader(db, meta, check)
+                if last:
+                    return
+
+        run_threads([writer(0), writer(100_000), scanner, scanner])
+        assert racing                 # scans really ran between commits
+        assert tree.height > 1        # and leaves really split
+        assert dict(BTree(db.buffer_pool, meta).range_scan()) == {
+            encode_key((key,)): value
+            for key, value in committed.items()}
+
+    def test_point_lookups_race_inserts(self, db):
+        with db.transaction():
+            tree = BTree.create(db.buffer_pool)
+            for i in range(300):
+                tree.insert(encode_key((i,)), str(i).encode())
+        meta = tree.meta_page_id
+
+        done = threading.Event()
 
         def reader():
-            for i in range(300):
-                assert tree.search(encode_key((i,))) == str(i).encode()
+            def check(mine):
+                for i in range(300):
+                    assert mine.search(encode_key((i,))) == \
+                        str(i).encode()
+
+            while not done.is_set():
+                self.snapshot_reader(db, meta, check)
 
         def writer():
-            for i in range(300, 600):
-                tree.insert(encode_key((i,)), str(i).encode())
+            try:
+                for i in range(300, 600):
+                    with db.transaction():
+                        tree.insert(encode_key((i,)), str(i).encode())
+            finally:
+                done.set()
 
-        try:
-            run_threads([reader, reader, reader, writer])
-            assert len(tree) == 600
-        finally:
-            pager.close()
+        run_threads([reader, reader, reader, writer])
+        assert len(tree) == 600
+        assert db.mvcc_stats()["versioned_reads"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -341,8 +341,7 @@ class TestSnapshotPrefixProperty:
                     page_id = sorted(committed)[index % len(committed)]
                     fill = value + 1
                     with db.transaction():
-                        with pool.latched(page_id, exclusive=True) as pg:
-                            pg[:] = bytes([fill]) * page_size
+                        pool.put_page(page_id, bytes([fill]) * page_size)
                     committed[page_id] = fill
                 elif kind == "pin":
                     snapshot = pool.pin_snapshot()

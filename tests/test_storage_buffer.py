@@ -1,6 +1,8 @@
 """Buffer pool tests: pinning, LRU eviction, write-back, accounting."""
 
 import gc
+import threading
+import tracemalloc
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.dbms import XmlDbms
 from repro.errors import BufferPoolError
 from repro.storage.btree import BTree, _Node
 from repro.storage.buffer import BufferPool
+from repro.storage.db import Database
 from repro.storage.pager import Pager
 
 
@@ -83,11 +86,15 @@ class TestEviction:
 
 
 
+def image(pool, tag):
+    """A fresh page image whose first byte is ``tag``."""
+    return bytes([tag]).ljust(pool.pager.page_size, b"\0")
+
+
 def publish(pool, page_id):
     """Decode-and-publish as a B+-tree reader does; returns the node."""
     node = object()
-    with pool.latched(page_id) as page:
-        pool.publish_decoded(page_id, page, node)
+    pool.publish_decoded(page_id, pool.get_page(page_id, pin=False), node)
     assert pool.decoded(page_id) is node
     return node
 
@@ -137,13 +144,10 @@ class TestDecodedSlot:
             # A commit whose group fsync is pending: abort restores the
             # frame's bytes instead of dropping the frame.
             pool.begin_tracking()
-            with pool.latched(page_id, exclusive=True) as page:
-                page[0] = 2
+            pool.put_page(page_id, image(pool, 2))
             pool.publish_commit()
         pool.begin_tracking()
-        with pool.latched(page_id, exclusive=True) as page:
-            page[0] = 9
-        pool.publish_decoded(page_id, page, object(), fresh=False)
+        pool.put_page(page_id, image(pool, 9), decoded=object())
         assert pool.decoded(page_id) is not None
         pool.end_tracking_abort()
         assert pool.decoded(page_id) is None
@@ -160,8 +164,8 @@ class TestDecodedSlot:
         pool.mark_dirty(page_id)
         assert pool.decoded(page_id) is None
         publish(pool, page_id)
-        with pool.latched(page_id, exclusive=True):
-            assert pool.decoded(page_id) is None
+        pool.put_page(page_id, image(pool, 3))
+        assert pool.decoded(page_id) is None
 
     def test_only_the_live_frames_own_buffer_is_accepted(self, pool):
         (page_id,) = fill(pool, 1)
@@ -169,6 +173,91 @@ class TestDecodedSlot:
             pool.publish_decoded(page_id, bytearray(page), object())
         assert pool.decoded(page_id) is None
         assert pool.stats.decodes == 0
+
+
+class TestPublishedBuffersAreImmutable:
+    """The one rule of the storage layer: a page buffer that another
+    thread can reach is never mutated again — writers swap whole images
+    in, so whoever holds the old buffer keeps exactly what it read."""
+
+    def test_frames_carry_no_latch(self, pool):
+        (page_id,) = fill(pool, 1)
+        assert not hasattr(pool._frames[page_id], "latch")
+        assert not hasattr(pool, "latched")
+
+    def test_held_buffer_survives_write_commit_abort_and_eviction(
+            self, pool):
+        (page_id,) = fill(pool, 1)
+        held = pool.get_page(page_id, pin=False)
+        before = bytes(held)
+        snapshot = pool.pin_snapshot()
+
+        def check():
+            assert bytes(held) == before
+            with pool.reading(snapshot):
+                assert pool.get_page(page_id, pin=False) is held
+
+        pool.begin_tracking()
+        committed = image(pool, 2)
+        pool.put_page(page_id, committed)
+        check()                              # in-flight pre-image
+        images = pool.transaction_pages()
+        lsn, mods = pool.publish_commit()
+        check()                              # version chain
+        # Abort while the commit's write-back is pending: the restore
+        # arm puts the superseded buffer back, it copies nothing.
+        pool.begin_tracking()
+        pool.put_page(page_id, image(pool, 3))
+        pool.end_tracking_abort()
+        check()
+        assert pool.get_page(page_id, pin=False) is committed
+        pool.complete_commit(lsn, images, mods)
+        # Abort with nothing pending: the frame is dropped.
+        pool.begin_tracking()
+        pool.put_page(page_id, image(pool, 4))
+        pool.end_tracking_abort()
+        assert page_id not in pool.resident_pages()
+        check()
+        assert pool.get_page(page_id, pin=False)[0] == 2
+        fill(pool, 3)                        # evict, then re-fault
+        assert page_id not in pool.resident_pages()
+        assert pool.get_page(page_id, pin=False)[0] == 2
+        check()
+        assert bytes(committed) == bytes(image(pool, 2))
+        pool.release_snapshot(snapshot)
+
+    def test_snapshot_readers_cannot_publish(self, pool):
+        (page_id,) = fill(pool, 1)
+        snapshot = pool.pin_snapshot()
+        with pool.reading(snapshot), pytest.raises(BufferPoolError):
+            pool.put_page(page_id, image(pool, 2))
+        pool.release_snapshot(snapshot)
+
+    def test_image_must_be_one_whole_page(self, pool):
+        (page_id,) = fill(pool, 1)
+        with pytest.raises(BufferPoolError):
+            pool.put_page(page_id, b"short")
+
+    def test_a_resident_frame_costs_its_page_and_little_else(
+            self, tmp_path):
+        frames = 512
+        with Pager(str(tmp_path / "mem.db"), create=True) as pager:
+            pool = BufferPool(pager, capacity=frames)
+            ids = [pool.new_page()[0] for __ in range(frames)]
+            for page_id in ids:
+                pool.unpin(page_id, dirty=True)
+            pool.flush_and_clear()
+            tracemalloc.start()
+            try:
+                start, __ = tracemalloc.get_traced_memory()
+                for page_id in ids:
+                    pool.get_page(page_id, pin=False)
+                resident, __ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(pool.resident_pages()) == frames
+            per_frame = (resident - start) / frames
+            assert per_frame <= pager.page_size + 400, per_frame
 
 
 class TestFlush:
@@ -213,6 +302,31 @@ class TestStats:
     def test_memory_bytes_bounded_by_capacity(self, pool):
         fill(pool, 10)
         assert pool.memory_bytes <= 3 * pool.pager.page_size
+
+
+class TestStatsReset:
+    def test_reset_takes_the_pool_mutex_and_spares_earlier_reads(
+            self, tmp_path):
+        with Database(str(tmp_path / "reset.db"), create=True) as db:
+            db.create_btree("t").insert(b"k", b"v")
+            taken = db.stats                 # read before the reset
+            hits = taken.hits
+            assert hits > 0
+            done = threading.Event()
+
+            def reset():
+                db.reset_stats()
+                done.set()
+
+            worker = threading.Thread(target=reset, daemon=True)
+            with db.buffer_pool._lock:       # counters are mid-update
+                worker.start()
+                assert not done.wait(0.2)    # so the reset must wait
+            assert done.wait(30)
+            worker.join(30)
+            assert not worker.is_alive()
+            assert db.stats.hits == 0
+            assert taken.hits == hits        # not zeroed under its reader
 
 
 class TestStatsLocking:

@@ -167,13 +167,6 @@ class TestTransactions:
                 tree.insert(b"b", b"2")
             assert db._wal.commits_since_checkpoint == 0  # checkpointed
 
-    def test_wal_disabled_still_works(self, path):
-        with Database(path, create=True, wal=False) as db:
-            with db.transaction():
-                db.create_btree("t").insert(b"k", b"v")
-        with Database(path, wal=False) as db:
-            assert db.open_btree("t").search(b"k") == b"v"
-
 
 class TestRecovery:
     def _committed_but_not_written_back(self, path):
@@ -251,15 +244,6 @@ class TestRecovery:
             handle.write(b"NOTAWAL!" + b"\x00" * 100)
         with pytest.raises(WalError):
             recover(path)
-
-    def test_open_with_wal_disabled_still_recovers(self, path):
-        # Regression: wal=False must not skip (or delete) a log holding
-        # the only copy of acknowledged commits.
-        self._committed_but_not_written_back(path)
-        with Database(path, wal=False) as db:
-            assert db.last_recovery is not None
-            assert db.last_recovery.transactions_replayed == 1
-            assert db.open_btree("t").search(b"committed") == b"1"
 
     def test_create_discards_stale_wal(self, path):
         self._committed_but_not_written_back(path)
