@@ -11,7 +11,10 @@ cluster-specific properties:
   documents from the WAL instead of starting empty;
 * its stdout ``LISTENING <host> <port>`` banner is parsed by the
   spawner, which is how ``--port 0`` (kernel-assigned) clusters learn
-  their own membership.
+  their own membership;
+* its stderr — the structured log lines — is appended to
+  ``<data-dir>/shard-N.log``, never to a pipe the spawner would have
+  to keep draining.
 
 :class:`ShardCluster` manages N of them as a unit — spawn them all,
 SIGTERM them all, restart one in place on its old port and database —
@@ -23,6 +26,7 @@ need.  Nothing here talks XQ; process management and the query path
 from __future__ import annotations
 
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -32,47 +36,106 @@ from pathlib import Path
 from repro.errors import ShardError, ShardUnavailableError
 from repro.net.client import NetClient
 
-#: Seconds a freshly spawned shard gets to print its LISTENING banner.
+#: Seconds a set of freshly spawned shards gets, together, to print
+#: their LISTENING banners.
 SPAWN_TIMEOUT = 30.0
 
 
-def _launch(cls, index: int, argv: list[str], db_path: str):
-    """Start ``argv`` and wait for its ``LISTENING`` banner.
+def _log_path(db_path: str) -> Path:
+    """Where a member's stderr goes: ``shard-N.log`` beside
+    ``shard-N.db``, appended to across restarts."""
+    return Path(db_path).with_suffix(".log")
+
+
+def _member_argv(index: int, db_path: str, host: str, port: int,
+                 workers: int, max_pending: int,
+                 time_limit: float | None,
+                 extra_args: list[str] | None) -> list[str]:
+    return [sys.executable, "-m", "repro.serve",
+            "--host", host, "--port", str(port),
+            "--db", db_path,
+            "--shard-id", str(index),
+            "--workers", str(workers),
+            "--max-pending", str(max_pending),
+            "--time-limit", str(time_limit or 0),
+            "--log-interval", "0", *(extra_args or [])]
+
+
+def _launch(members: list[tuple[int, list[str], str]]
+            ) -> list["ShardProcess"]:
+    """Start every ``(index, argv, db_path)`` member, *then* wait for
+    all their ``LISTENING`` banners under one :data:`SPAWN_TIMEOUT`.
 
     Shared by first spawns and in-place restarts (which reuse the old
-    command line with the port pinned).  A process that exits before
-    listening raises :class:`~repro.errors.ShardError` carrying its
-    stderr tail.
+    command line with the port pinned).  Stderr goes to the member's
+    log file: a pipe nobody drains blocks its writer at 64 KB.  A
+    member that exits before listening, prints something else or stays
+    silent past the deadline raises :class:`~repro.errors.ShardError`
+    with the tail of what this start logged, after every process
+    started here has been killed.
     """
-    # The member must import the same ``repro`` the spawner runs —
+    # The members must import the same ``repro`` the spawner runs —
     # regardless of the spawner's cwd or how it set its own path.
     source_root = str(Path(__file__).resolve().parents[2])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [source_root] + ([env["PYTHONPATH"]]
                          if env.get("PYTHONPATH") else []))
-    process = subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, env=env)
-    deadline = time.monotonic() + SPAWN_TIMEOUT
-    banner = ""
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            stderr = (process.stderr.read() or "")[-2000:]
-            raise ShardError(
-                f"shard {index} exited with code "
-                f"{process.returncode} before listening; stderr: "
-                f"{stderr}")
-        banner = process.stdout.readline()
-        if banner:
-            break
-    parts = banner.split()
-    if len(parts) != 3 or parts[0] != "LISTENING":
-        process.kill()
-        process.wait()
-        raise ShardError(f"shard {index} printed {banner!r}, "
-                         f"expected 'LISTENING <host> <port>'")
-    return cls(index, process, parts[1], int(parts[2]), db_path, argv)
+    processes: list[subprocess.Popen] = []
+    log_starts: list[int] = []
+
+    def failure(position: int, what: str) -> ShardError:
+        index, __, db_path = members[position]
+        log_path = _log_path(db_path)
+        with open(log_path, "rb") as log:
+            log.seek(log_starts[position])
+            tail = log.read().decode("utf-8", "replace")[-2000:]
+        return ShardError(f"shard {index} {what}; {log_path}: {tail}")
+
+    try:
+        for __, argv, db_path in members:
+            with open(_log_path(db_path), "ab") as log:
+                log_starts.append(log.tell())
+                processes.append(subprocess.Popen(
+                    argv, stdout=subprocess.PIPE, stderr=log, env=env))
+        deadline = time.monotonic() + SPAWN_TIMEOUT
+        output = [b""] * len(members)
+        waiting = {process.stdout.fileno(): position
+                   for position, process in enumerate(processes)}
+        while waiting:
+            ready, __, __ = select.select(
+                list(waiting), [], [],
+                max(0.0, deadline - time.monotonic()))
+            if not ready:
+                raise failure(
+                    min(waiting.values()),
+                    f"printed no LISTENING banner in {SPAWN_TIMEOUT:g} s")
+            for fd in ready:
+                position = waiting[fd]
+                chunk = os.read(fd, 4096)
+                output[position] += chunk
+                if not chunk:
+                    raise failure(
+                        position, "exited with code "
+                        f"{processes[position].wait()} before listening")
+                if b"\n" in output[position]:
+                    del waiting[fd]
+        shards = []
+        for position, (index, argv, db_path) in enumerate(members):
+            banner = output[position].decode("utf-8", "replace")
+            parts = banner.split("\n")[0].split()
+            if len(parts) != 3 or parts[0] != "LISTENING":
+                raise failure(position, f"printed {banner!r}, expected "
+                              "'LISTENING <host> <port>'")
+            shards.append(ShardProcess(index, processes[position],
+                                       parts[1], int(parts[2]),
+                                       db_path, argv))
+        return shards
+    except BaseException:
+        for process in processes:
+            process.kill()
+            process.wait()
+        raise
 
 
 class ShardProcess:
@@ -106,24 +169,22 @@ class ShardProcess:
         ``port=0`` lets the kernel pick; the banner tells us what it
         picked.  A process that exits (or stays silent past
         ``SPAWN_TIMEOUT``) raises :class:`~repro.errors.ShardError`
-        with its stderr tail, because a shard that cannot start is a
+        with its log tail, because a shard that cannot start is a
         deployment problem, not an unavailability blip.
         """
-        argv = [sys.executable, "-m", "repro.serve",
-                "--host", host, "--port", str(port),
-                "--db", db_path,
-                "--shard-id", str(index),
-                "--workers", str(workers),
-                "--max-pending", str(max_pending),
-                "--time-limit", str(time_limit or 0),
-                "--log-interval", "0"]
-        argv.extend(extra_args or [])
-        return _launch(cls, index, argv, db_path)
+        argv = _member_argv(index, db_path, host, port, workers,
+                            max_pending, time_limit, extra_args)
+        return _launch([(index, argv, db_path)])[0]
 
     @property
     def address(self) -> tuple[str, int]:
         """The ``(host, port)`` the shard serves on."""
         return (self.host, self.port)
+
+    @property
+    def log_path(self) -> Path:
+        """The file the shard's stderr (its log) is appended to."""
+        return _log_path(self.db_path)
 
     def alive(self) -> bool:
         """Whether the subprocess is still running."""
@@ -188,26 +249,22 @@ class ShardCluster:
         """Start ``count`` shards with databases under ``data_dir``.
 
         Shard ``i`` serves ``<data_dir>/shard-i.db`` on a
-        kernel-assigned port.  If any member fails to start, the ones
-        already up are torn down before the error propagates — no
-        half-spawned clusters.
+        kernel-assigned port and logs to ``<data_dir>/shard-i.log``.
+        All members are started before any banner is awaited, so
+        bring-up costs one start-up, not ``count``; if any member
+        fails to start, every one is killed before the error
+        propagates — no half-spawned clusters.
         """
         if count < 1:
             raise ShardError(f"count must be >= 1, got {count}")
         Path(data_dir).mkdir(parents=True, exist_ok=True)
-        shards: list[ShardProcess] = []
-        try:
-            for index in range(count):
-                db_path = str(Path(data_dir) / f"shard-{index}.db")
-                shards.append(ShardProcess.spawn(
-                    index, db_path, host=host, workers=workers,
-                    max_pending=max_pending, time_limit=time_limit,
-                    extra_args=extra_args))
-        except BaseException:
-            for shard in shards:
-                shard.terminate()
-            raise
-        return cls(shards, data_dir)
+        members = []
+        for index in range(count):
+            db_path = str(Path(data_dir) / f"shard-{index}.db")
+            members.append((index, _member_argv(
+                index, db_path, host, 0, workers, max_pending,
+                time_limit, extra_args), db_path))
+        return cls(_launch(members), data_dir)
 
     @property
     def endpoints(self) -> list[tuple[str, int]]:
@@ -233,7 +290,7 @@ class ShardCluster:
         old.terminate(timeout=timeout)
         argv = list(old.argv)
         argv[argv.index("--port") + 1] = str(old.port)
-        fresh = _launch(ShardProcess, index, argv, old.db_path)
+        fresh, = _launch([(index, argv, old.db_path)])
         self.shards[index] = fresh
         return fresh
 

@@ -7,15 +7,19 @@ count as a (virtual) tag pair of their own; the virtual document root has
 ``in = 1``.  The DOM is never built.
 
 A load is two steps.  :func:`shred_document` makes one pass over the
-events and produces the rows in ascending ``in`` order (a row's slot is
-reserved when its node opens, its ``out`` filled in when it closes), the
-label- and parent-index keys, and the statistics.  It touches no database,
-so input errors surface before anything is created.
-:func:`store_document` then writes the three B+-trees: sorted bulk builds
-by default, or with ``bulk=False`` tuple-at-a-time insertion in node
-completion order — how the students' engines inserted into Berkeley DB.
-Both produce identical relations; the bulk trees are packed compactly
-and built much faster.
+events and produces the relation as parallel *columns* in ascending
+``in`` order, never as a Python object per node.  A node's slot is
+appended when it opens, with ``out`` = 0; the stack of open nodes holds
+column positions and the closing tag patches ``outs[position]``.  Beside
+the columns go the label- and parent-index keys and the statistics.  It
+touches no database, so input errors surface before anything is created.
+:func:`store_document` then writes the three B+-trees: sorted bulk
+builds by default, or with ``bulk=False`` tuple-at-a-time insertion in
+node completion order — how the students' engines inserted into Berkeley
+DB.  Both read the same columns and produce identical relations; the
+bulk trees are packed compactly and built much faster.  Each column is
+released as soon as its tree exists, so the load's high-water is the
+columns plus one tree under construction.
 
 The statistics are what milestone 4 requires — "the selectivity of each
 of the element node labels occurring in the document, and the average
@@ -26,9 +30,11 @@ that give the cost model real selectivities for value predicates.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 
 from repro.errors import CatalogError
@@ -261,10 +267,6 @@ class DocumentStatistics:
     max_in: int = 0
     value_histograms: dict[str, EquiDepthHistogram] = \
         field(default_factory=dict)
-    #: Load-time accumulator of ``(parent label, text value)`` samples;
-    #: consumed by :meth:`build_histograms`, never persisted.
-    _text_samples: list[tuple[str, str]] = \
-        field(default_factory=list, repr=False)
 
     @property
     def average_depth(self) -> float:
@@ -280,25 +282,20 @@ class DocumentStatistics:
 
     # -- value histograms -----------------------------------------------------
 
-    def note_text_value(self, parent_label: str, value: str) -> None:
-        """Record one text node's value during shredding."""
-        self._text_samples.append((parent_label,
-                                   schema.index_value(value)))
-
-    def build_histograms(self, buckets: int = HISTOGRAM_BUCKETS) -> None:
-        """Turn the shred-time samples into per-label + global
-        histograms and drop the sample buffer."""
-        samples = self._text_samples
-        self._text_samples = []
-        histograms: dict[str, EquiDepthHistogram] = {}
-        histograms[GLOBAL_HISTOGRAM] = EquiDepthHistogram.build(
-            (value for __, value in samples), buckets)
+    def build_histograms(self, labels: list[str], values: list[str],
+                         buckets: int = HISTOGRAM_BUCKETS) -> None:
+        """Build the global and per-label histograms from one sample
+        per text node: ``values[i]`` is its (truncated) value and
+        ``labels[i]`` its parent element's label, ``""`` under the root."""
+        histograms = {GLOBAL_HISTOGRAM:
+                      EquiDepthHistogram.build(values, buckets)}
         by_label: dict[str, list[str]] = {}
-        for label, value in samples:
+        for label, value in zip(labels, values, strict=True):
             if label:
                 by_label.setdefault(label, []).append(value)
-        for label, values in by_label.items():
-            histograms[label] = EquiDepthHistogram.build(values, buckets)
+        for label, label_values in by_label.items():
+            histograms[label] = EquiDepthHistogram.build(label_values,
+                                                         buckets)
         self.value_histograms = histograms
 
     def histogram_add(self, parent_label: str, value: str) -> None:
@@ -349,12 +346,17 @@ class DocumentStatistics:
 @dataclass
 class ShreddedDocument:
     """A shredded, hence fully validated, document that is not yet stored:
-    XASR ``rows`` ``(in, out, parent_in, type, value)`` in ascending ``in``
-    order, the (unsorted) secondary-index keys, and the statistics."""
+    the XASR relation as five parallel columns in ascending ``in`` order,
+    the (unsorted) secondary-index keys, and the statistics.
+    :func:`store_document` empties the columns as it consumes them."""
 
-    rows: list
+    ins: array            # 'I'
+    outs: array           # 'I'
+    parent_ins: array     # 'I'
+    types: bytearray
+    values: list[str]     # equal element names are one shared object
     label_keys: list[bytes]
-    parent_keys: list[bytes]
+    parent_keys: array    # 'Q': parent_in << 32 | in, see schema.parent_key
     stats: DocumentStatistics
 
 
@@ -373,110 +375,147 @@ def shred_document(xml: str | None = None, path: str | None = None,
     assert events is not None
 
     stats = DocumentStatistics()
-    rows: list = []
+    ins, outs, parent_ins = array("I"), array("I"), array("I")
+    types = bytearray()
+    values: list[str] = []
     label_keys: list[bytes] = []
-    parent_keys: list[bytes] = []
+    parent_keys = array("Q")
+    element, text_type = schema.ELEMENT, schema.TEXT
+    index_value, pack_in = schema.index_value, schema.primary_key
+    label_key = schema.label_key
+    #: label -> (the one shared name object, its label-key prefix)
+    labels: dict[str, tuple[str, bytes]] = {}
     label_counts = stats.label_counts
-    stack: list[list] = []  # rows of the open nodes
+    sample_labels: list[str] = []  # per text node: its parent's label
+    sample_values: list[str] = []  # ... and its truncated value
+    stack: list[int] = []  # column positions of the open nodes
     counter = 1
     elements = texts = depth_sum = max_depth = 0
     for event in events:
         kind = type(event)
         if kind is StartElement:
-            name = event.name
-            parent_in = stack[-1][0]
-            row = [counter, 0, parent_in, schema.ELEMENT, name]
-            label_keys.append(schema.label_key(
-                schema.ELEMENT, schema.index_value(name), counter))
-            parent_keys.append(schema.parent_key(parent_in, counter))
+            known = labels.get(event.name)
+            if known is None:
+                name = event.name
+                known = labels[name] = name, schema.label_prefix(
+                    element, index_value(name))
+                label_counts[name] = 0
+            name, prefix = known
+            parent_in = ins[stack[-1]]
+            stack.append(len(ins))
+            ins.append(counter)
+            outs.append(0)  # patched when the node closes
+            parent_ins.append(parent_in)
+            types.append(element)
+            values.append(name)
+            label_keys.append(prefix + pack_in(counter))
+            parent_keys.append(parent_in << 32 | counter)
             counter += 1
-            rows.append(row)
-            stack.append(row)
             depth = len(stack) - 1  # the virtual root has depth 0
             elements += 1
-            label_counts[name] = label_counts.get(name, 0) + 1
+            label_counts[name] += 1
             depth_sum += depth
             if depth > max_depth:
                 max_depth = depth
         elif kind is EndElement or kind is EndDocument:
-            stack.pop()[1] = counter
+            outs[stack.pop()] = counter
             counter += 1
         elif kind is Characters:
             text = event.text
             if strip_whitespace and not text.strip():
                 continue
             parent = stack[-1]
-            rows.append((counter, counter + 1, parent[0], schema.TEXT, text))
-            label_keys.append(schema.label_key(
-                schema.TEXT, schema.index_value(text), counter))
-            parent_keys.append(schema.parent_key(parent[0], counter))
+            parent_in = ins[parent]
+            ins.append(counter)
+            outs.append(counter + 1)
+            parent_ins.append(parent_in)
+            types.append(text_type)
+            values.append(text)
+            indexed = index_value(text)
+            label_keys.append(label_key(text_type, indexed, counter))
+            parent_keys.append(parent_in << 32 | counter)
             counter += 2
             depth = len(stack)
             texts += 1
             depth_sum += depth
             if depth > max_depth:
                 max_depth = depth
-            stats.note_text_value(
-                parent[4] if parent[3] == schema.ELEMENT else "", text)
+            sample_labels.append(values[parent])  # "" under the root
+            sample_values.append(indexed)
         elif kind is StartDocument:
-            row = [counter, 0, 0, schema.ROOT, ""]
-            parent_keys.append(schema.parent_key(0, counter))
+            stack.append(len(ins))
+            ins.append(counter)
+            outs.append(0)
+            parent_ins.append(0)
+            types.append(schema.ROOT)
+            values.append("")
+            parent_keys.append(counter)
             counter += 1
-            rows.append(row)
-            stack.append(row)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected event {event!r}")
     if stack:
         raise AssertionError("shredder finished with open nodes")
-    stats.total_nodes = len(rows)
+    stats.total_nodes = len(ins)
     stats.element_count, stats.text_count = elements, texts
     stats.depth_sum, stats.max_depth = depth_sum, max_depth
     stats.max_in = counter - 1
-    stats.build_histograms()
-    return ShreddedDocument(rows, label_keys, parent_keys, stats)
+    stats.build_histograms(sample_labels, sample_values)
+    return ShreddedDocument(ins, outs, parent_ins, types, values,
+                            label_keys, parent_keys, stats)
 
 
-def _encode_record(db: Database, in_: int, out: int, parent_in: int,
-                   node_type: int, value: str) -> bytes:
-    """Encode one XASR record, spilling long values to the overflow store."""
-    raw_value = value.encode("utf-8")
-    if len(raw_value) > schema.VALUE_INLINE_MAX:
-        head_page, length = db.overflow.store(raw_value)
-        return schema.RECORD_CODEC.encode(
-            (in_, out, parent_in, node_type, 1, f"{head_page}:{length}"))
-    return schema.RECORD_CODEC.encode(
-        (in_, out, parent_in, node_type, 0, value))
+def _primary_entries(db: Database, rows: Iterable[tuple]
+                     ) -> Iterator[tuple[bytes, bytes]]:
+    """``(key, record)`` per ``(in, out, parent_in, type, value)`` row,
+    spilling long values to the overflow store."""
+    pack_in, encode_record = schema.primary_key, schema.encode_record
+    inline_max = schema.VALUE_INLINE_MAX
+    for in_, out, parent_in, node_type, value in rows:
+        raw = value.encode("utf-8")
+        val_kind = 0
+        if len(raw) > inline_max:
+            head_page, length = db.overflow.store(raw)
+            raw, val_kind = f"{head_page}:{length}".encode(), 1
+        yield pack_in(in_), encode_record(in_, out, parent_in, node_type,
+                                          val_kind, raw)
 
 
 def store_document(db: Database, name: str, shredded: ShreddedDocument,
                    bulk: bool = True) -> DocumentStatistics:
     """Write a shredded document into ``db`` under ``name``: the
     clustered primary B+-tree, the label and parent secondary indexes,
-    and the statistics entry.  Returns the statistics."""
+    and the statistics entry.  Empties ``shredded``'s columns as it
+    goes; returns the statistics."""
     if db.exists(schema.table_name(name)):
         raise CatalogError(f"document {name!r} already loaded")
     primary = db.create_btree(schema.table_name(name))
     label_index = db.create_btree(schema.index_label_name(name))
     parent_index = db.create_btree(schema.index_parent_name(name))
+    def fill(tree, entries: Iterable[tuple[bytes, bytes]]) -> None:
+        if bulk:
+            tree.bulk_load(entries)
+        else:
+            for key, value in entries:
+                tree.insert(key, value)
+
+    rows = zip(shredded.ins, shredded.outs, shredded.parent_ins,
+               shredded.types, shredded.values, strict=True)
+    if not bulk:
+        rows = sorted(rows, key=itemgetter(1))  # completion order
+    fill(primary, _primary_entries(db, rows))
+    for column in (shredded.ins, shredded.outs, shredded.parent_ins,
+                   shredded.types, shredded.values):
+        del column[:]
+    label_keys, parent_keys = shredded.label_keys, shredded.parent_keys
     if bulk:
-        primary.bulk_load(
-            (schema.primary_key(in_),
-             _encode_record(db, in_, out, parent_in, node_type, value))
-            for in_, out, parent_in, node_type, value in shredded.rows)
-        label_index.bulk_load(
-            (key, b"") for key in sorted(shredded.label_keys))
-        parent_index.bulk_load(
-            (key, b"") for key in sorted(shredded.parent_keys))
-    else:
-        for in_, out, parent_in, node_type, value in sorted(
-                shredded.rows, key=itemgetter(1)):  # completion order
-            primary.insert(
-                schema.primary_key(in_),
-                _encode_record(db, in_, out, parent_in, node_type, value))
-        for key in shredded.label_keys:
-            label_index.insert(key, b"")
-        for key in shredded.parent_keys:
-            parent_index.insert(key, b"")
+        label_keys.sort()
+    fill(label_index, zip(label_keys, repeat(b"")))
+    del label_keys[:]
+    # Numeric order of the u64s is byte order of the keys.
+    fill(parent_index, zip(map(schema.PARENT_KEY_U64.pack,
+                               sorted(parent_keys) if bulk else parent_keys),
+                           repeat(b"")))
+    del parent_keys[:]
     db.put_meta(schema.stats_name(name), shredded.stats.to_payload())
     db.buffer_pool.flush()
     return shredded.stats

@@ -10,7 +10,10 @@ Record layout (see :class:`~repro.storage.record.RecordCodec`)::
     value     str   label / text / "" for the root;
                     for val_kind = 1: "head_page:length"
 
-Key layouts (order-preserving, :func:`~repro.storage.record.encode_key`)::
+Key layouts (order-preserving; byte-for-byte what the generic
+:func:`~repro.storage.record.encode_key` produces, built here with
+precompiled structs because every lookup and every loaded node makes
+one)::
 
     primary:       (in)
     label index:   (type, value, in)     value truncated for overflow texts
@@ -31,7 +34,7 @@ import struct
 from typing import NamedTuple
 
 from repro.errors import StorageError
-from repro.storage.record import RecordCodec, encode_key
+from repro.storage.record import RecordCodec
 
 #: XASR ``type`` values, as in Example 1 of the paper.
 ROOT = 0
@@ -51,7 +54,7 @@ VALUE_INDEX_PREFIX = 64
 RECORD_CODEC = RecordCodec(["u32", "u32", "u32", "u8", "u8", "str"])
 
 #: The record's fixed-width prefix (five scalar columns plus the string
-#: length), precompiled for the scan hot path.
+#: length), precompiled for the scan and load hot paths.
 _RECORD_HEAD = struct.Struct(">IIIBBI")
 
 
@@ -74,9 +77,15 @@ def decode_record(raw: bytes | memoryview
     value = raw[_RECORD_HEAD.size:end].decode("utf-8")
     return in_, out, parent_in, node_type, val_kind, value
 
-_KEY_U32 = ("u32",)
-_KEY_LABEL = ("u32", "str", "u32")
-_KEY_PARENT = ("u32", "u32")
+
+def encode_record(in_: int, out: int, parent_in: int, node_type: int,
+                  val_kind: int, raw_value: bytes) -> bytes:
+    """Encode one XASR record from its already-UTF-8 value; fast path of
+    ``RECORD_CODEC.encode``, byte-identical to it."""
+    return _RECORD_HEAD.pack(in_, out, parent_in, node_type, val_kind,
+                             len(raw_value)) + raw_value
+
+
 _KEY_VALUE = ("str", "u32", "u32")
 
 
@@ -158,45 +167,48 @@ def value_index_catalog_name(document: str) -> str:
 
 
 # -- key encoders ----------------------------------------------------------------
+#
+# u32 columns are 4 big-endian bytes; a str column is its UTF-8 with
+# every 0x00 escaped as 0x00 0xFF, terminated by 0x00 0x00 — so a
+# (type, value) prefix is a clean prefix of every (type, value, in) key.
+
+_U32 = struct.Struct(">I")
+_U32_PAIR = struct.Struct(">II")
+
+#: One u32 as key bytes; the primary key of ``in`` and the prefix of a
+#: parent's entries in the parent index.
+primary_key = parent_prefix = _U32.pack
+#: ``(parent_in, in)``.
+parent_key = _U32_PAIR.pack
+#: The same bytes from the single integer ``parent_in << 32 | in``, whose
+#: numeric order is therefore the key order (the loader sorts these).
+PARENT_KEY_U64 = struct.Struct(">Q")
 
 
-def primary_key(in_: int) -> bytes:
-    return encode_key((in_,), _KEY_U32)
+def _key_str(value: str) -> bytes:
+    return value.encode("utf-8").replace(b"\x00", b"\x00\xff") + b"\x00\x00"
 
 
 def label_key(type_: int, value: str, in_: int) -> bytes:
-    return encode_key((type_, value, in_), _KEY_LABEL)
+    return _U32.pack(type_) + _key_str(value) + _U32.pack(in_)
 
 
 def label_prefix(type_: int, value: str | None = None) -> bytes:
     """Prefix of label-index keys for a node type (and optionally value)."""
     if value is None:
-        return encode_key((type_,), _KEY_U32)
-    # str keys are terminated, so (type, value) is a clean prefix of
-    # (type, value, in).
-    return encode_key((type_, value), ("u32", "str"))
-
-
-def parent_key(parent_in: int, in_: int) -> bytes:
-    return encode_key((parent_in, in_), _KEY_PARENT)
-
-
-def parent_prefix(parent_in: int) -> bytes:
-    return encode_key((parent_in,), _KEY_U32)
+        return _U32.pack(type_)
+    return _U32.pack(type_) + _key_str(value)
 
 
 def value_key(value: str, elem_in: int, text_in: int) -> bytes:
     """Value-index key; ``value`` is truncated like label-index keys."""
-    return encode_key((index_value(value), elem_in, text_in), _KEY_VALUE)
+    return _key_str(index_value(value)) + _U32_PAIR.pack(elem_in, text_in)
 
 
 def value_prefix(value: str) -> bytes:
-    """Prefix of value-index keys for one (truncated) value.
-
-    The string component is terminator-delimited, so this is a clean
-    prefix of exactly the ``(value, *, *)`` keys.
-    """
-    return encode_key((index_value(value),), ("str",))
+    """Prefix of value-index keys for one (truncated) value: exactly the
+    ``(value, *, *)`` keys, the string being terminator-delimited."""
+    return _key_str(index_value(value))
 
 
 def decode_value_key(key: bytes) -> tuple[str, int, int]:

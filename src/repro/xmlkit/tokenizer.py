@@ -62,10 +62,11 @@ def _valid_name(name: str) -> bool:
     return bool(name) and (name[0].isalpha() or name[0] in "_:")
 
 
-def _is_xml_char(code: int) -> bool:
-    """The XML 1.0 ``Char`` production."""
-    return (0x20 <= code <= 0xD7FF or code in (0x9, 0xA, 0xD)
-            or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF)
+#: A character outside the XML 1.0 ``Char`` production: what one scan
+#: of the whole source rejects as a literal, and each resolved character
+#: reference is checked against.
+_NON_CHAR = re.compile(
+    "[^\t\n\r\x20-\uD7FF\uE000-\uFFFD\U00010000-\U0010FFFF]")
 
 
 class _Source:
@@ -133,7 +134,7 @@ def _read_entity(src: _Source, pos: int) -> tuple[str, int]:
     except (ValueError, OverflowError):
         raise src.error(
             f"bad {kind} character reference &{echo};", end) from None
-    if not _is_xml_char(code):
+    if _NON_CHAR.match(char):
         raise src.error(f"character reference &{echo}; is not a legal "
                         "XML character", end)
     return char, end
@@ -225,9 +226,15 @@ def iterparse(text: str) -> Iterator[XmlEvent]:
 
     Yields :class:`StartDocument`, then tag/text events, then
     :class:`EndDocument`.  Raises :class:`~repro.errors.XmlError` on
-    malformed input, including unbalanced tags and trailing garbage.
+    malformed input, including unbalanced tags and trailing garbage; a
+    literal character outside XML's ``Char`` production anywhere in
+    ``text`` is reported before the first event.
     """
     src = _Source(text)
+    illegal = _NON_CHAR.search(text)
+    if illegal is not None:
+        raise src.error(f"character U+{ord(illegal.group()):04X} is not a "
+                        "legal XML character", illegal.start())
     locate = src.locate
     length = len(text)
     yield StartDocument(line=1, column=1)

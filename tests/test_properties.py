@@ -126,6 +126,34 @@ class TestKeyEncodingProperty:
         by_bytes = [decode_key(k, schema) for k in sorted(keys)]
         assert by_bytes == sorted(tuples)
 
+    _U32S = st.integers(0, 2**32 - 1)
+    #: NUL-bearing, non-BMP and longer-than-the-index-prefix strings.
+    _STRINGS = st.text(
+        st.one_of(st.characters(exclude_categories=["Cs"]),
+                  st.sampled_from("\x00\U0001F600\U00010000")), max_size=80)
+
+    @given(_U32S, _U32S, _STRINGS)
+    @settings(max_examples=200, deadline=None)
+    def test_schema_keys_equal_the_generic_encoder(self, a, b, text):
+        """``xasr.schema`` builds its keys with precompiled structs;
+        ``encode_key`` stays the reference they must match byte for
+        byte."""
+        from repro.xasr import schema
+
+        cut = schema.index_value(text)
+        assert schema.primary_key(a) == encode_key((a,))
+        assert schema.parent_prefix(a) == encode_key((a,))
+        assert schema.parent_key(a, b) == encode_key((a, b))
+        assert schema.PARENT_KEY_U64.pack(a << 32 | b) == encode_key((a, b))
+        assert schema.label_key(a, text, b) == encode_key((a, text, b))
+        assert schema.label_prefix(a) == encode_key((a,))
+        assert schema.label_prefix(a, text) == encode_key((a, text))
+        assert schema.value_key(text, a, b) == encode_key((cut, a, b))
+        assert schema.value_prefix(text) == encode_key((cut,))
+        record = (a, b, a ^ b, a % 3, b % 2, text)
+        assert schema.encode_record(*record[:5], text.encode()) == \
+            schema.RECORD_CODEC.encode(record)
+
 
 # ---------------------------------------------------------------------------
 # B+-tree vs dict model
