@@ -175,7 +175,7 @@ class AlgebraicEvaluator:
                                   execution_plans)
         finally:
             for plan in execution_plans.values():
-                reset_materializers(plan, self.document.db)
+                reset_materializers(plan)
 
     def stream_batches(self, tpm: TpmExpr, plans: PlanSet,
                        env: dict[str, XasrNode] | None = None,
@@ -247,7 +247,7 @@ class AlgebraicEvaluator:
             # The paper: an un-merged inner relfor "will be evaluated for
             # each new binding" — materialised intermediates belong to one
             # execution and are invalid once the environment changes.
-            reset_materializers(plan, self.document.db)
+            reset_materializers(plan)
             bindings = Bindings(env)
             # Binding tuples are pulled block-at-a-time: the operator
             # tree produces batches of up to ctx.batch_size rows, and the

@@ -117,9 +117,9 @@ class ExecutionContext:
     """Per-query execution state shared by all operators.
 
     One context is built for every execution and driven by exactly one
-    thread: the memory meter, tick counter and temp-name counter are
-    deliberately unsynchronized because they are never shared — two
-    concurrent executions of the same prepared query get two contexts.
+    thread: the memory meter and tick counter are deliberately
+    unsynchronized because they are never shared — two concurrent
+    executions of the same prepared query get two contexts.
     """
 
     def __init__(self, document, deadline: float | None = None,
@@ -139,7 +139,6 @@ class ExecutionContext:
         self.trace = trace
         self._ticks = 0
         self.rows_produced = 0
-        self.temp_counter = 0
 
     def tick(self) -> None:
         """Cheap cooperative cancellation point for operator loops.
@@ -176,11 +175,6 @@ class ExecutionContext:
             now = time.monotonic()
             if now > self.deadline:
                 raise ResourceLimitExceeded("time", self.deadline, now)
-
-    def fresh_temp_name(self) -> str:
-        """Name for a temporary spill object in the database catalog."""
-        self.temp_counter += 1
-        return f"tmp:{id(self)}:{self.temp_counter}"
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Milestone 3 explicitly allowed engines "to write to disk each intermediate
 result, and re-read it whenever necessary as the input of a subsequent
 operation".  :class:`Materializer` implements that: the first execution of
-the wrapped child is written to a temporary heap file (or kept in memory
-below a threshold), and every re-execution replays the stored rows.
+the wrapped child is written to a temporary file (or kept in memory below
+a threshold), and every re-execution replays the stored rows.
 
 This is what makes an *uncorrelated* inner side of a nested-loops join
 affordable: the child computes once, rescans are sequential re-reads.
@@ -14,7 +14,7 @@ variables (fixed for the lifetime of one plan execution).
 
 The cache is built and replayed block-at-a-time: memory-resident replays
 are bulk slices of the cached row list (no per-row work at all), spill
-replays decode one batch per block, and the memory meter is charged once
+replays read one batch per block, and the memory meter is charged once
 per buffered batch.
 """
 
@@ -25,15 +25,16 @@ from collections.abc import Iterator
 
 from repro.physical.context import Bindings, ExecutionContext, NODE_BYTES
 from repro.physical.operators import Batch, PhysicalOp, Row
-from repro.physical.sort import _decode_row, _encode_row
+from repro.physical.spill import SpillFile
 
 
 class Materializer(PhysicalOp):
     """Cache the child's rows for cheap re-execution.
 
     ``memory_threshold_rows``: row counts up to this stay in a Python
-    list (charged to the memory meter); beyond it, rows spill to a heap
-    file in the document database.
+    list (charged to the memory meter); beyond it, rows spill to a
+    private :class:`~repro.physical.spill.SpillFile`, closed by
+    :meth:`reset` — or at once, if the first pass is abandoned.
 
     A Materializer is the only stateful physical operator: its cache is
     valid for one plan execution (conditions below it may reference
@@ -48,21 +49,17 @@ class Materializer(PhysicalOp):
         self.schema = child.schema
         self.memory_threshold_rows = memory_threshold_rows
         self._rows: list[Row] | None = None
-        self._heap_name: str | None = None
+        self._spilled: SpillFile | None = None
         self._charged = 0
         self._meter = None
 
-    def reset(self, database=None) -> None:
+    def reset(self) -> None:
         """Forget the cached result (used between relfor re-executions,
-        when the outer environment may have changed).  Passing the
-        database also drops any spill heap."""
-        if self._heap_name is not None and database is not None:
-            # Spill state is the execution's own side write; catalog
-            # access and page frees must bypass any bound snapshot.
-            with database.buffer_pool.unbound():
-                database.drop(self._heap_name)
+        when the outer environment may have changed)."""
+        if self._spilled is not None:
+            self._spilled.close()
         self._rows = None
-        self._heap_name = None
+        self._spilled = None
         # Release the cache's bytes against the meter that charged them
         # (mid-execution resets happen per relfor re-entry, within one
         # live context); a meter from a finished execution is inert, so
@@ -82,21 +79,10 @@ class Materializer(PhysicalOp):
                 ctx.tick_batch(len(batch))
                 yield batch
             return
-        if self._heap_name is not None:
-            # The spill heap's catalog entry is this execution's own side
-            # write — invisible through a versioned catalog leaf, so the
-            # lookup must read live state.  The data pages themselves were
-            # born after any snapshot pin and are never versioned.
-            with ctx.document.db.buffer_pool.unbound():
-                heap = ctx.document.db.open_heap(self._heap_name)
-            batch = []
-            for __, raw in heap.scan():
-                batch.append(_decode_row(raw, ctx.document))
-                if len(batch) >= size:
-                    ctx.tick_batch(len(batch))
-                    yield batch
-                    batch = []
-            if batch:
+        if self._spilled is not None:
+            everything = (0, self._spilled.rows)
+            for batch in self._spilled.blocks(everything, ctx.document,
+                                              size):
                 ctx.tick_batch(len(batch))
                 yield batch
             return
@@ -105,12 +91,15 @@ class Materializer(PhysicalOp):
         # at the first match); the cache is only installed on normal
         # completion so a partial pass never masquerades as the result.
         collected: list[Row] = []
-        heap = None
-        heap_name: str | None = None
+        spill_file: SpillFile | None = None
         row_bytes = NODE_BYTES * max(1, len(self.schema))
-        for batch in self.child.batches(ctx, bindings):
-            ctx.tick_batch(len(batch))
-            if heap is None:
+        try:
+            for batch in self.child.batches(ctx, bindings):
+                ctx.tick_batch(len(batch))
+                if spill_file is not None:
+                    spill_file.append(batch)
+                    yield batch
+                    continue
                 # Buffer in threshold-sized takes so the in-memory cache
                 # (and its meter charge) never overshoots the spill
                 # threshold by more than one row — a batch larger than
@@ -132,25 +121,23 @@ class Materializer(PhysicalOp):
                     if len(collected) > self.memory_threshold_rows:
                         # Spill everything gathered so far; this batch's
                         # remainder and all later ones go to disk.
-                        heap_name = ctx.fresh_temp_name()
-                        with ctx.document.db.buffer_pool.unbound():
-                            heap = ctx.document.db.create_heap(heap_name)
-                        for spilled in collected:
-                            heap.insert(_encode_row(spilled))
+                        spill_file = SpillFile(ctx.document.db.pager.path,
+                                               len(self.schema))
+                        collected += batch[position:]
+                        spill_file.append(collected)
                         collected = []
                         ctx.meter.release(self._charged)
                         self._charged = 0
-                        for row in batch[position:]:
-                            heap.insert(_encode_row(row))
                         break
-            else:
-                for row in batch:
-                    heap.insert(_encode_row(row))
-            yield batch
-        if heap is None:
+                yield batch
+        except BaseException:
+            if spill_file is not None:
+                spill_file.close()
+            raise
+        if spill_file is None:
             self._rows = collected
         else:
-            self._heap_name = heap_name
+            self._spilled = spill_file
 
     def explain(self, indent: int = 0) -> str:
         pad = " " * indent
@@ -158,14 +145,14 @@ class Materializer(PhysicalOp):
                 f"{self.child.explain(indent + 2)}")
 
 
-def reset_materializers(plan, database=None) -> None:
+def reset_materializers(plan) -> None:
     """Reset every :class:`Materializer` in a physical plan tree."""
     if isinstance(plan, Materializer):
-        plan.reset(database)
+        plan.reset()
     for attribute in ("child", "outer", "inner", "probe"):
         node = getattr(plan, attribute, None)
         if node is not None:
-            reset_materializers(node, database)
+            reset_materializers(node)
 
 
 def instantiate_plan(plan: PhysicalOp) -> PhysicalOp:

@@ -7,51 +7,36 @@ expression α."
 
 Rows are sorted by the hierarchical document order key (the in-values of
 the projection aliases, lexicographically).  Runs that exceed the
-in-memory budget are spilled to heap files in the database — block-based
-writes, which the paper laments Berkeley DB made difficult ("this made it
-difficult to have the students implement external sort ... properly by the
-book"); our own storage manager has no such limitation.
+in-memory budget are written, one after the other, to the execution's
+private :class:`~repro.physical.spill.SpillFile` and merged back in
+blocks — the block-based writing the paper laments Berkeley DB made
+difficult ("this made it difficult to have the students implement
+external sort ... properly by the book").
 
 Like every physical operator, the sort runs block-at-a-time: input rows
 arrive in batches, buffer bytes are charged to the memory meter one block
-at a time (and released even when the budget trips mid-batch), and the
-sorted output is re-blocked into ``ctx.batch_size`` slices.
+at a time (and released even when the budget trips mid-batch) — during
+the merge, one block per run — and the sorted output is re-blocked into
+``ctx.batch_size`` slices.
 """
 
 from __future__ import annotations
 
 import heapq
-import struct
 from collections.abc import Iterator
 
 from repro.physical.context import Bindings, ExecutionContext, NODE_BYTES
 from repro.physical.operators import Batch, PhysicalOp, Row
-
-
-def _encode_row(row: Row) -> bytes:
-    """Spill only the in-values; nodes are re-fetched on merge.
-
-    Keeps run records small and bounded (text values can be arbitrarily
-    long) at the price of one primary lookup per row during the merge —
-    exactly the re-read cost the milestone 3 materialising engines paid.
-    """
-    return struct.pack(f">H{len(row)}I", len(row),
-                       *(node.in_ for node in row))
-
-
-def _decode_row(raw: bytes, document) -> Row:
-    (count,) = struct.unpack_from(">H", raw, 0)
-    in_values = struct.unpack_from(f">{count}I", raw, 2)
-    return tuple(document.node(in_value) for in_value in in_values)
+from repro.physical.spill import Run, SpillFile
 
 
 class ExternalSort(PhysicalOp):
     """Sort child rows by the in-values of ``key_aliases``.
 
     ``run_budget_rows`` bounds the in-memory run size; larger inputs spill
-    sorted runs into temporary heap files and k-way merge them.  The spill
-    database is the execution context's document database (temporaries are
-    dropped afterwards).
+    sorted runs into a temporary file beside the document's database and
+    k-way merge them.  The file is gone when the execution ends, however
+    it ends.
     """
 
     def __init__(self, child: PhysicalOp, key_aliases: tuple[str, ...],
@@ -70,31 +55,36 @@ class ExternalSort(PhysicalOp):
 
     def batches(self, ctx: ExecutionContext,
                 bindings: Bindings) -> Iterator[Batch]:
-        database = ctx.document.db
         size = ctx.batch_size
         row_bytes = NODE_BYTES * max(1, len(self.schema))
         run_budget = max(1, self.run_budget_rows)
-        runs: list[str] = []
+        spill_file: SpillFile | None = None
+        runs: list[Run] = []
         buffer: list[tuple[tuple[int, ...], int, Row]] = []
         charged = 0
         sequence = 0
         self.spilled_runs = 0
 
         def spill() -> None:
-            nonlocal charged
+            nonlocal charged, spill_file
             buffer.sort(key=lambda item: item[:2])
-            name = ctx.fresh_temp_name()
-            # Side write of this execution: the catalog mutation must
-            # bypass any bound snapshot (see BufferPool.unbound).
-            with database.buffer_pool.unbound():
-                heap = database.create_heap(name)
-            for __, __, row in buffer:
-                heap.insert(_encode_row(row))
-            runs.append(name)
+            if spill_file is None:
+                spill_file = SpillFile(ctx.document.db.pager.path,
+                                       len(self.schema))
+            runs.append(spill_file.append([row for __, __, row in buffer]))
             self.spilled_runs += 1
             buffer.clear()
             ctx.meter.release(charged)
             charged = 0
+
+        def read_back(run: Run) -> Iterator[Row]:
+            for block in spill_file.blocks(run, ctx.document, size):
+                held = row_bytes * len(block)
+                try:
+                    ctx.meter.charge(held)
+                    yield from block
+                finally:
+                    ctx.meter.release(held)
 
         try:
             key = self._key
@@ -126,15 +116,8 @@ class ExternalSort(PhysicalOp):
                 return
             if buffer:
                 spill()
-            streams = []
-            for name in runs:
-                with database.buffer_pool.unbound():
-                    heap = database.open_heap(name)
-                streams.append((_decode_row(raw, ctx.document)
-                                for __, raw in heap.scan()))
-            merged = heapq.merge(*streams, key=self._key)
             out = []
-            for row in merged:
+            for row in heapq.merge(*map(read_back, runs), key=key):
                 out.append(row)
                 if len(out) >= size:
                     ctx.tick_batch(len(out))
@@ -145,9 +128,8 @@ class ExternalSort(PhysicalOp):
                 yield out
         finally:
             ctx.meter.release(charged)
-            with database.buffer_pool.unbound():
-                for name in runs:
-                    database.drop(name)
+            if spill_file is not None:
+                spill_file.close()
 
     def explain(self, indent: int = 0) -> str:
         pad = " " * indent

@@ -10,23 +10,25 @@ this package implements the equivalent substrate from scratch:
   milestone-4 cost model);
 * :mod:`~repro.storage.record` — order-preserving tuple/key codecs;
 * :mod:`~repro.storage.overflow` — chained overflow pages for long values;
-* :mod:`~repro.storage.heap` — slotted-page heap files;
 * :mod:`~repro.storage.btree` — a disk B+-tree with point lookup, in-order
   range scans (the clustered-access path for descendant ranges), insertion
   and sorted bulk-loading;
 * :mod:`~repro.storage.db` — the database facade tying it together with a
   persistent catalog.
 
-The paper notes that the public Berkeley DB "does not directly support
-block-based writing, only block-based reading", which got in the way of
-textbook external sort; our pager supports both, and the external-sort
-operator in :mod:`repro.physical.sort` uses it.
+Every page is written as a whole immutable image
+(``BufferPool.new_page`` / ``put_page``) by a loader or a write
+transaction.  Queries only read: the paper notes that the public Berkeley
+DB "does not directly support block-based writing, only block-based
+reading", which got in the way of textbook external sort, and the
+external-sort operator in :mod:`repro.physical.sort` writes its runs in
+blocks — to a private temporary file beside the database
+(:mod:`repro.physical.spill`), not into it.
 """
 
 from repro.storage.btree import BTree
 from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.db import Database
-from repro.storage.heap import HeapFile, RecordId
 from repro.storage.pager import PAGE_SIZE, Pager
 from repro.storage.record import (
     KeyCodec,
@@ -40,8 +42,6 @@ __all__ = [
     "Pager",
     "BufferPool",
     "BufferStats",
-    "HeapFile",
-    "RecordId",
     "BTree",
     "Database",
     "RecordCodec",

@@ -134,8 +134,7 @@ class _Node:
         return image.ljust(page_size, b"\0")
 
     @classmethod
-    def deserialize(cls, page_id: int,
-                    page: bytes | bytearray) -> "_Node":
+    def deserialize(cls, page_id: int, page: bytes) -> "_Node":
         node_type, count = _NODE_HEADER.unpack_from(page, 0)
         offset = _NODE_HEADER.size
         node = cls(page_id, node_type == _LEAF)
@@ -179,15 +178,12 @@ class BTree:
 
     @classmethod
     def create(cls, buffer_pool: BufferPool) -> "BTree":
-        """Allocate an empty tree (meta page + one empty leaf)."""
-        # Edited in place: nobody else knows these page ids yet.
-        root_id, root_page = buffer_pool.new_page()
-        root_page[:] = _Node(root_id, is_leaf=True).image(len(root_page))
-        buffer_pool.unpin(root_id, dirty=True)
-
-        meta_id, meta_page = buffer_pool.new_page()
-        _META.pack_into(meta_page, 0, _META_MAGIC, root_id, 1, 0)
-        buffer_pool.unpin(meta_id, dirty=True)
+        """Allocate an empty tree (one empty leaf, then the meta page)."""
+        page_size = buffer_pool.pager.page_size
+        # A node's image does not hold its own page id.
+        root_id = buffer_pool.new_page(_Node(0, is_leaf=True).image(page_size))
+        meta_id = buffer_pool.new_page(
+            _META.pack(_META_MAGIC, root_id, 1, 0).ljust(page_size, b"\0"))
         return cls(buffer_pool, meta_id)
 
     # -- meta page ---------------------------------------------------------------
@@ -225,8 +221,9 @@ class BTree:
         self.buffer_pool.put_page(node.page_id, image, node.freeze())
 
     def _new_node(self, is_leaf: bool, **fields) -> _Node:
-        page_id, page = self.buffer_pool.new_page()
-        self.buffer_pool.unpin(page_id, dirty=True)
+        # Blank until the caller's ``_write_node``: the node's content
+        # usually depends on the id handed out here.
+        page_id = self.buffer_pool.new_page(bytes(self._max_node_size()))
         return _Node(page_id, is_leaf, **fields)
 
     def _max_node_size(self) -> int:

@@ -73,7 +73,7 @@ class BufferStats:
 
 @dataclass(slots=True)
 class _Frame:
-    data: bytes | bytearray
+    data: bytes
     pin_count: int = 0
     dirty: bool = False
     #: Bumped on every dirtying event.  The group committer compares the
@@ -127,13 +127,10 @@ class BufferPool:
     again**.  Every read resolves "version-chain image, in-flight
     pre-image or live buffer" under the mutex and returns a reference
     that stays valid whatever happens to the frame afterwards; a writer
-    builds a fresh image and swaps it in (:meth:`put_page`).  Editing in
-    place — :meth:`new_page` / :meth:`get_page`, then
-    ``unpin(dirty=True)`` — is only for pages no other thread can reach
-    while they change: freshly allocated ones not yet linked from
-    anything shared (a new tree's first nodes, an overflow chain) and
-    heap files private to their creator (spill runs).  Callers of that
-    path must keep it so.  Lock order is pool mutex → pager mutex.
+    builds a fresh image and publishes it — :meth:`new_page` for a page
+    it allocates, :meth:`put_page` for one it replaces.  That is the only
+    write protocol: every frame holds ``bytes``.  Lock order is pool
+    mutex → pager mutex.
     """
 
     def __init__(self, pager: Pager, capacity: int = 64):
@@ -153,18 +150,11 @@ class BufferPool:
         #: commit record.
         # guarded by: self._lock
         self._tracked: set[int] | None = None
-        #: Thread that owns the active write transaction.  Only events
-        #: from this thread join the tracked set — a concurrent reader
-        #: spilling scratch heap pages must not contaminate the
-        #: transaction's write set (its pages would be logged, held back,
-        #: or dropped on abort).
-        # guarded by: self._lock
-        self._txn_thread: int | None = None
         #: Committed image of every page the transaction touched — the
         #: very buffer its first write superseded (``None`` = the page
         #: was born in this transaction and has no snapshot-visible past).
         # guarded by: self._lock
-        self._txn_preimages: dict[int, bytes | bytearray | None] = {}
+        self._txn_preimages: dict[int, bytes | None] = {}
         #: Page frees issued during the transaction, executed once the
         #: commit is durable *and* no snapshot can still reach the page.
         # guarded by: self._lock
@@ -183,7 +173,7 @@ class BufferPool:
         #: it, i.e. what every snapshot pinned below ``superseded_at``
         #: must read.
         # guarded by: self._lock
-        self._versions: dict[int, list[tuple[int, bytes | bytearray]]] = {}
+        self._versions: dict[int, list[tuple[int, bytes]]] = {}
         #: commit LSN → number of snapshots pinned at it.
         # guarded by: self._lock
         self._snapshots: dict[int, int] = {}
@@ -271,22 +261,6 @@ class BufferPool:
         finally:
             self._local.snapshot = None
 
-    @contextmanager
-    def unbound(self) -> Iterator[None]:
-        """Suspend the thread's snapshot binding for a ``with`` block.
-
-        Escape hatch for a bound reader's *own* side writes — spill heaps
-        and their catalog entries — which must read and write live state
-        (the reader's freshly created spill entry is invisible through a
-        versioned catalog leaf).
-        """
-        previous = getattr(self._local, "snapshot", None)
-        self._local.snapshot = None
-        try:
-            yield
-        finally:
-            self._local.snapshot = previous
-
     def decoded(self, page_id: int) -> object | None:
         """The live page's decoded form (a logical access); ``None`` when
         not resident, not decoded, or not what the bound snapshot reads.
@@ -303,7 +277,7 @@ class BufferPool:
             self._frames.move_to_end(page_id)
             return frame.decoded
 
-    def publish_decoded(self, page_id: int, page: bytes | bytearray,
+    def publish_decoded(self, page_id: int, page: bytes,
                         node: object) -> None:
         """Attach ``node``, never mutated again, to the frame it mirrors.
         ``page`` is the buffer it was decoded from; any buffer but the
@@ -316,7 +290,7 @@ class BufferPool:
                 self.stats.decodes += 1
 
     def _version_image_locked(self, page_id: int,
-                              lsn: int) -> bytes | bytearray | None:
+                              lsn: int) -> bytes | None:
         """The image a snapshot at ``lsn`` must read, or None for live."""
         chain = self._versions.get(page_id)
         if chain:
@@ -336,17 +310,15 @@ class BufferPool:
 
     # -- core protocol -------------------------------------------------------
 
-    def get_page(self, page_id: int,
-                 pin: bool = True) -> bytes | bytearray:
+    def get_page(self, page_id: int, pin: bool = True) -> bytes:
         """Return the page's buffer, faulting it in if needed.
 
         One critical section resolves what this thread must read — under
         a bound snapshot the version-chain image or in-flight pre-image
         current at its pin, else the live buffer — and returns a
         reference, which stays valid without a pin.  ``pin=True``
-        (default) also keeps the *frame* resident, for a caller about to
-        edit a private page in place; balance it with :meth:`unpin`
-        (prefer :meth:`pinned`).
+        (default) also keeps the *frame* resident; balance it with
+        :meth:`unpin` (prefer :meth:`pinned`).
         """
         snapshot = getattr(self._local, "snapshot", None)
         with self._lock:
@@ -379,16 +351,7 @@ class BufferPool:
             self._frames[page_id] = frame
         return frame
 
-    def put_page(self, page_id: int, image: bytes | bytearray,
-                 decoded: object | None = None) -> None:
-        """Publish ``image`` — which the caller must never touch again —
-        as the page's content, with ``decoded`` as its decoded form.
-
-        One critical section: the superseded buffer *itself* becomes the
-        write transaction's pre-image (first write only), so snapshots
-        and anyone still decoding it keep reading it unchanged, and the
-        frame points at ``image``, dirty.  One logical access, like a read.
-        """
+    def _check_write(self, image: bytes) -> None:
         if len(image) != self.pager.page_size:
             raise BufferPoolError(
                 f"page image of {len(image)} bytes, expected "
@@ -396,9 +359,21 @@ class BufferPool:
         if getattr(self._local, "snapshot", None) is not None:
             raise BufferPoolError("page write under a bound snapshot — "
                                   "snapshot readers are read-only")
+
+    def put_page(self, page_id: int, image: bytes,
+                 decoded: object | None = None) -> None:
+        """Publish ``image`` as the page's content, with ``decoded`` as
+        its decoded form.
+
+        One critical section: the superseded buffer *itself* becomes the
+        write transaction's pre-image (first write only), so snapshots
+        and anyone still decoding it keep reading it unchanged, and the
+        frame points at ``image``, dirty.  One logical access, like a read.
+        """
+        self._check_write(image)
         with self._lock:
             frame = self._frame_locked(page_id)
-            if self._tracking_here_locked():
+            if self._tracked is not None:
                 self._txn_preimages.setdefault(page_id, frame.data)
                 self._tracked.add(page_id)
             frame.data = image
@@ -406,14 +381,25 @@ class BufferPool:
             frame.dirty = True
             frame.mod_count += 1
 
-    def unpin(self, page_id: int, dirty: bool = False) -> None:
-        """Release one pin; ``dirty=True`` says the caller edited the
-        buffer in place (private pages only — see the class docstring)."""
+    def new_page(self, image: bytes) -> int:
+        """Allocate a page holding ``image``, dirty; returns its id."""
+        self._check_write(image)
+        with self._lock:
+            page_id = self.pager.allocate_page()
+            self._make_room_locked()
+            self._frames[page_id] = _Frame(image, dirty=True, mod_count=1)
+            # A reused page id must not resolve to its previous life.
+            self._versions.pop(page_id, None)
+            if self._tracked is not None:
+                # Born in this transaction: no snapshot-visible past.
+                self._tracked.add(page_id)
+                self._txn_preimages.setdefault(page_id, None)
+            return page_id
+
+    def unpin(self, page_id: int) -> None:
+        """Release one pin taken by :meth:`get_page`."""
         snapshot = getattr(self._local, "snapshot", None)
         if snapshot is not None and snapshot._pins.get(page_id, 0) > 0:
-            if dirty:
-                raise BufferPoolError(
-                    f"snapshot image of page {page_id} is read-only")
             snapshot._pins[page_id] -= 1
             return
         with self._lock:
@@ -422,55 +408,15 @@ class BufferPool:
                 raise BufferPoolError(f"unpin of page {page_id} that is "
                                       "not pinned")
             frame.pin_count -= 1
-            if dirty:
-                self._edited_in_place_locked(page_id, frame)
 
     @contextmanager
-    def pinned(self, page_id: int) -> Iterator[bytes | bytearray]:
+    def pinned(self, page_id: int) -> Iterator[bytes]:
         """Pin a page for the duration of a ``with`` block (read-only)."""
         data = self.get_page(page_id)
         try:
             yield data
         finally:
             self.unpin(page_id)
-
-    def mark_dirty(self, page_id: int) -> None:
-        """Mark a resident page edited in place; its pin count stays."""
-        with self._lock:
-            frame = self._frames.get(page_id)
-            if frame is None:
-                raise BufferPoolError(f"mark_dirty of non-resident page "
-                                      f"{page_id}")
-            self._edited_in_place_locked(page_id, frame)
-
-    def _edited_in_place_locked(self, page_id: int, frame: _Frame) -> None:
-        frame.dirty = True
-        frame.mod_count += 1
-        frame.decoded = None
-        if self._tracking_here_locked():
-            # Pages edited in place are expected to be transaction-born
-            # (heap appends, overflow chains), so new_page already
-            # recorded them as None.  The fallback keeps an unexpected
-            # late-dirtying path from leaking uncommitted bytes into the
-            # file via eviction; it copies, as this buffer keeps changing.
-            if page_id not in self._txn_preimages:
-                self._txn_preimages[page_id] = bytearray(frame.data)
-            self._tracked.add(page_id)
-
-    def new_page(self) -> tuple[int, bytearray]:
-        """Allocate a fresh page and return it pinned and dirty."""
-        with self._lock:
-            page_id = self.pager.allocate_page()
-            self._make_room_locked()
-            frame = _Frame(bytearray(self.pager.page_size), pin_count=1,
-                           dirty=True, mod_count=1)
-            self._frames[page_id] = frame
-            # A reused page id must not resolve to its previous life.
-            self._versions.pop(page_id, None)
-            if self._tracking_here_locked():
-                self._tracked.add(page_id)
-                self._txn_preimages.setdefault(page_id, None)
-            return page_id, frame.data
 
     def free_page(self, page_id: int) -> None:
         """Drop a page from the pool and return it to the pager free list.
@@ -490,7 +436,7 @@ class BufferPool:
                 # leave the pin holder's frame fully intact.
                 raise BufferPoolError(f"freeing pinned page {page_id}")
             self._frames.pop(page_id, None)
-            if self._tracking_here_locked():
+            if self._tracked is not None:
                 if page_id not in self._txn_preimages:
                     self._txn_preimages[page_id] = (
                         frame.data if frame is not None
@@ -508,11 +454,6 @@ class BufferPool:
             else:
                 self._versions.pop(page_id, None)
                 self.pager.free_page(page_id)
-
-    def _tracking_here_locked(self) -> bool:
-        """Is a write transaction active *and* owned by this thread?"""
-        return (self._tracked is not None
-                and self._txn_thread == threading.get_ident())
 
     # -- eviction / flushing ---------------------------------------------------
 
@@ -547,7 +488,7 @@ class BufferPool:
     def _evict_locked(self, page_id: int) -> None:
         frame = self._frames.pop(page_id)
         if frame.dirty:
-            self.pager.write_page(page_id, bytes(frame.data))
+            self.pager.write_page(page_id, frame.data)
             self.stats.dirty_writebacks += 1
         self.stats.evictions += 1
 
@@ -566,7 +507,7 @@ class BufferPool:
                     "uncommitted pages to the file; commit or abort first")
             for page_id, frame in self._frames.items():
                 if frame.dirty and page_id not in self._held:
-                    self.pager.write_page(page_id, bytes(frame.data))
+                    self.pager.write_page(page_id, frame.data)
                     self.stats.dirty_writebacks += 1
                     frame.dirty = False
 
@@ -589,10 +530,9 @@ class BufferPool:
         own writes; from here until commit/abort, the transaction's dirty
         frames are neither flushed nor evicted (no-steal) and its page
         frees are deferred.  Only one transaction may track at a time —
-        callers serialize (see :meth:`repro.storage.db.Database.transaction`).
-        Tracking is *owned by the calling thread*: dirtying events from
-        other threads (a concurrent reader spilling scratch pages) do
-        not join the write set.
+        callers serialize (see :meth:`repro.storage.db.Database.transaction`)
+        — and nothing but a transaction writes pages while one is open,
+        so every page written until commit/abort belongs to it.
         """
         with self._lock:
             if self._tracked is not None:
@@ -603,7 +543,6 @@ class BufferPool:
                                       "on a snapshot-bound thread")
             self.flush()
             self._tracked = set()
-            self._txn_thread = threading.get_ident()
             self._txn_preimages = {}
             self._deferred_frees = []
 
@@ -612,7 +551,7 @@ class BufferPool:
         with self._lock:
             if self._tracked is None:
                 raise BufferPoolError("no write transaction is active")
-            return {page_id: bytes(self._frames[page_id].data)
+            return {page_id: self._frames[page_id].data
                     for page_id in sorted(self._tracked)}
 
     def publish_commit(self, on_publish: list[Callable[[], None]] | None = None,
@@ -656,7 +595,6 @@ class BufferPool:
                     self.versions_installed += 1
                 self._pending_frees.append((lsn, lsn, page_id))
             self._tracked = None
-            self._txn_thread = None
             self._txn_preimages = {}
             self._deferred_frees = []
             for callback in (on_publish or []):
@@ -713,7 +651,6 @@ class BufferPool:
                         f"aborting with page {page_id} still pinned")
             tracked, self._tracked = self._tracked, None
             preimages, self._txn_preimages = self._txn_preimages, {}
-            self._txn_thread = None
             self._deferred_frees = []
             for page_id in tracked:
                 image = preimages.get(page_id)

@@ -21,7 +21,6 @@ from typing import Any
 from repro.errors import CatalogError, WalError
 from repro.storage.btree import BTree
 from repro.storage.buffer import BufferPool
-from repro.storage.heap import HeapFile
 from repro.storage.overflow import OverflowStore
 from repro.storage.pager import NO_PAGE, PAGE_SIZE, Pager
 from repro.storage.record import encode_key
@@ -35,7 +34,6 @@ from repro.storage.wal import (
 )
 
 _KIND_BTREE = "btree"
-_KIND_HEAP = "heap"
 _KIND_META = "meta"
 
 #: Metadata payloads above this size are spilled to the overflow store;
@@ -52,17 +50,19 @@ class Database:
     Named objects:
 
     * B+-trees (tables and indexes),
-    * heap files (materialised intermediates, statistics runs),
     * bare metadata entries (per-document statistics, load info).
+
+    Every page in the file is written by a loader or a write transaction;
+    queries only read it (their sort runs and materialised intermediates
+    go to a :class:`~repro.physical.spill.SpillFile` beside it).
 
     Catalog operations are thread-safe: a database-level mutex makes each
     name→object operation (existence check + create, lookup + open,
-    lookup + drop) atomic, so two sessions spilling intermediates — or a
-    ``load`` racing a reader opening the same document — cannot interleave
-    inside the catalog.  Objects handed out (trees, heaps) hold no lock
-    of their own: readers use them under a pinned snapshot, one writer
-    at a time changes them, and the buffer pool never mutates a page
-    buffer a reader holds (see :mod:`repro.storage.buffer`).
+    lookup + drop) atomic, so a ``load`` racing a reader opening the same
+    document cannot interleave inside the catalog.  Trees handed out hold
+    no lock of their own: readers use them under a pinned snapshot, one
+    writer at a time changes them, and the buffer pool never mutates a
+    page buffer a reader holds (see :mod:`repro.storage.buffer`).
     """
 
     def __init__(self, path: str, create: bool = False,
@@ -328,35 +328,13 @@ class Database:
                 raise CatalogError(f"no B+-tree named {name!r}")
             return BTree(self.buffer_pool, entry["meta_page"])
 
-    # -- heap files -----------------------------------------------------------------
-
-    def create_heap(self, name: str) -> HeapFile:
-        with self._lock:
-            if self.exists(name):
-                raise CatalogError(f"object {name!r} already exists")
-            heap = HeapFile.create(self.buffer_pool)
-            self._catalog_put(name, {"kind": _KIND_HEAP,
-                                     "head_page": heap.head_page_id},
-                              replace=True)
-            return heap
-
-    def open_heap(self, name: str) -> HeapFile:
-        with self._lock:
-            entry = self._catalog_get(name)
-            if entry is None or entry.get("kind") != _KIND_HEAP:
-                raise CatalogError(f"no heap file named {name!r}")
-            return HeapFile(self.buffer_pool, entry["head_page"])
-
     def drop(self, name: str) -> None:
-        """Remove an object from the catalog (heap pages and metadata
-        spill chains are freed; B+-tree pages are not — see
-        :meth:`drop_btree`)."""
+        """Remove an object from the catalog (a metadata entry's overflow
+        chain is freed; B+-tree pages are not — see :meth:`drop_btree`)."""
         with self._lock:
             entry = self._catalog_get(name)
             if entry is None:
                 raise CatalogError(f"no object named {name!r}")
-            if entry.get("kind") == _KIND_HEAP:
-                HeapFile(self.buffer_pool, entry["head_page"]).drop()
             self._free_meta_overflow(entry)
             self._catalog_delete(name)
 

@@ -35,17 +35,14 @@ class OverflowStore:
             raise StorageError("refusing to store an empty overflow value")
         chunks = [data[i:i + self._chunk_capacity]
                   for i in range(0, len(data), self._chunk_capacity)]
-        head_page = 0
+        page_size = self.buffer_pool.pager.page_size
         # Build the chain back-to-front so each page knows its successor.
         next_page = 0
         for chunk in reversed(chunks):
-            page_id, page = self.buffer_pool.new_page()
-            _HEADER.pack_into(page, 0, next_page, len(chunk))
-            page[_HEADER.size:_HEADER.size + len(chunk)] = chunk
-            self.buffer_pool.unpin(page_id, dirty=True)
-            next_page = page_id
-        head_page = next_page
-        return head_page, len(data)
+            image = _HEADER.pack(next_page, len(chunk)) + chunk
+            next_page = self.buffer_pool.new_page(
+                image.ljust(page_size, b"\0"))
+        return next_page, len(data)
 
     def load(self, head_page: int, length: int) -> bytes:
         """Read a stored value back."""

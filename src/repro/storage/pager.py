@@ -184,8 +184,8 @@ class Pager:
             raise PageError(f"page id {page_id} out of range "
                             f"(1..{self.num_pages - 1})")
 
-    def read_page(self, page_id: int) -> bytearray:
-        """Read one page; returns a mutable copy of its bytes."""
+    def read_page(self, page_id: int) -> bytes:
+        """Read one page."""
         with self._lock:
             self._check(page_id)
             self._file.seek(page_id * self.page_size)
@@ -193,7 +193,7 @@ class Pager:
             if len(data) < self.page_size:
                 data = data + b"\x00" * (self.page_size - len(data))
             self.pages_read += 1
-            return bytearray(data)
+            return data
 
     def write_page(self, page_id: int, data: bytes) -> None:
         """Write one full page."""

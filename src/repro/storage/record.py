@@ -3,7 +3,7 @@
 Two encodings live here:
 
 * :class:`RecordCodec` — compact, schema-driven serialization of value
-  tuples (used for heap records and B+-tree values);
+  tuples (used for B+-tree values);
 * :func:`encode_key` / :func:`decode_key` — an **order-preserving** byte
   encoding for composite keys, so the B+-tree can compare keys with plain
   ``bytes`` comparison.

@@ -161,7 +161,7 @@ class _Applier:
         return schema.label_key(rec[3], self._indexed_value(rec), rec[0])
 
     def _put_record(self, rec: _Raw, replace: bool) -> None:
-        encoded = schema.RECORD_CODEC.encode(rec)
+        encoded = schema.encode_record(*rec[:5], rec[5].encode("utf-8"))
         self.primary.insert(schema.primary_key(rec[0]), encoded,
                             replace=replace)
 

@@ -316,9 +316,7 @@ class TestSnapshotPrefixProperty:
             committed: dict[int, int] = {}
             with db.transaction():
                 for __ in range(self.PAGES):
-                    page_id, page = pool.new_page()
-                    page[:] = bytes([1]) * page_size
-                    pool.unpin(page_id, dirty=True)
+                    page_id = pool.new_page(bytes([1]) * page_size)
                     committed[page_id] = 1
             base_free = db.pager.free_page_count()
             # (snapshot, expected page→byte at pin, lsn)
@@ -491,6 +489,7 @@ class TestDecodedNodesRespectSnapshots:
         published, commit, done = (threading.Event(), threading.Event(),
                                    threading.Event())
         errors: list[BaseException] = []
+        live_nodes: list[object] = []
 
         def writer() -> None:
             try:
@@ -498,6 +497,7 @@ class TestDecodedNodesRespectSnapshots:
                     # A different instance over the same meta page.
                     BTree(pool, tree.meta_page_id).insert(
                         b"k", b"new", replace=True)
+                    live_nodes.append(pool.decoded(leaf_id))
                     published.set()
                     assert commit.wait(JOIN_TIMEOUT)
             except BaseException as error:  # noqa: BLE001 - reported
@@ -517,8 +517,7 @@ class TestDecodedNodesRespectSnapshots:
                 assert published.wait(JOIN_TIMEOUT) and not errors
                 # Pre-image captured, modified node published, not yet
                 # committed: the live slot holds the writer's node ...
-                with pool.unbound():
-                    live = pool.decoded(leaf_id)
+                (live,) = live_nodes
                 assert live is not None and live is not shared
                 assert list(live.values) == [b"new"]
                 # ... which the bound reader must not be handed.

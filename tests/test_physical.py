@@ -212,7 +212,7 @@ class TestSortAndMaterialize:
         first = run(mat, ctx, env_bindings(doc))
         second = run(mat, ctx, env_bindings(doc))
         assert [r[0].in_ for r in first] == [r[0].in_ for r in second]
-        reset_materializers(mat, doc.db)
+        reset_materializers(mat)
 
     def test_materializer_partial_consumption_not_cached(self, doc, ctx):
         mat = Materializer(FullScan("A", []))
@@ -225,7 +225,7 @@ class TestSortAndMaterialize:
         mat = Materializer(FullScan("A", []))
         join = NestedLoopsJoin(FullScan("B", []), mat, [])
         run(join, ctx, env_bindings(doc))
-        reset_materializers(join, doc.db)
+        reset_materializers(join)
         assert mat._rows is None
 
     def test_reset_clears_charged_bytes(self, doc, ctx):
@@ -237,7 +237,7 @@ class TestSortAndMaterialize:
         run(mat, ctx, env_bindings(doc))
         assert mat._charged > 0
         assert ctx.meter.current == mat._charged
-        mat.reset(doc.db)
+        mat.reset()
         assert mat._charged == 0
         assert ctx.meter.current == 0
 

@@ -26,17 +26,18 @@ def fill(pool, count):
     """Allocate ``count`` pages, each tagged with its index."""
     ids = []
     for index in range(count):
-        page_id, page = pool.new_page()
-        page[0] = index + 1
-        pool.unpin(page_id, dirty=True)
-        ids.append(page_id)
+        ids.append(pool.new_page(image(pool, index + 1)))
     return ids
 
 
 class TestBasics:
-    def test_new_page_is_pinned_and_dirty(self, pool):
-        page_id, __ = pool.new_page()
-        assert pool.pin_count(page_id) == 1
+    def test_new_page_is_resident_unpinned_and_dirty(self, pool):
+        page_id = pool.new_page(image(pool, 7))
+        assert page_id in pool.resident_pages()
+        assert pool.pin_count(page_id) == 0
+        assert pool.pager.read_page(page_id)[0] == 0
+        pool.flush()
+        assert pool.pager.read_page(page_id)[0] == 7
 
     def test_get_page_returns_written_data(self, pool):
         (page_id,) = fill(pool, 1)
@@ -79,11 +80,10 @@ class TestEviction:
         pool.unpin(first)
 
     def test_all_pinned_raises(self, pool):
-        for __ in range(3):
-            pool.new_page()                  # never unpinned
+        for page_id in fill(pool, 3):
+            pool.get_page(page_id)           # never unpinned
         with pytest.raises(BufferPoolError):
-            pool.new_page()
-
+            pool.new_page(image(pool, 4))
 
 
 def image(pool, tag):
@@ -126,10 +126,9 @@ class TestDecodedSlot:
         publish(pool, page_id)
         pool.free_page(page_id)
         assert pool.decoded(page_id) is None
-        reused, __ = pool.new_page()
+        reused = pool.new_page(image(pool, 2))
         assert reused == page_id
         assert pool.decoded(page_id) is None
-        pool.unpin(page_id, dirty=True)
 
     def test_flush_and_clear_drops_it(self, pool):
         (page_id,) = fill(pool, 1)
@@ -156,13 +155,6 @@ class TestDecodedSlot:
 
     def test_every_dirtying_event_clears_it(self, pool):
         (page_id,) = fill(pool, 1)
-        publish(pool, page_id)
-        pool.get_page(page_id)
-        pool.unpin(page_id, dirty=True)
-        assert pool.decoded(page_id) is None
-        publish(pool, page_id)
-        pool.mark_dirty(page_id)
-        assert pool.decoded(page_id) is None
         publish(pool, page_id)
         pool.put_page(page_id, image(pool, 3))
         assert pool.decoded(page_id) is None
@@ -237,15 +229,35 @@ class TestPublishedBuffersAreImmutable:
         (page_id,) = fill(pool, 1)
         with pytest.raises(BufferPoolError):
             pool.put_page(page_id, b"short")
+        with pytest.raises(BufferPoolError):
+            pool.new_page(b"short")
+
+    def test_every_frame_holds_bytes(self, tmp_path, dblp_xml):
+        """One write protocol: whatever wrote or faulted a page in —
+        bulk load, tree inserts and splits, an overflow chain, eviction
+        and re-read — the frame holds an immutable ``bytes``."""
+        with XmlDbms(str(tmp_path / "bytes.db"),
+                     buffer_capacity=64) as dbms:
+            dbms.load("dblp", xml=dblp_xml)
+            dbms.update("dblp", "insert node <big>{$v}</big> "
+                        "as first into /dblp",
+                        bindings={"v": "x" * 20_000})
+            dbms.update("dblp", 'replace value of node '
+                        '/dblp/big/text() with "small"')
+            dbms.db.overflow.store(b"y" * 10_000)
+            assert "small" in dbms.session().query("dblp", "/dblp/big")
+            frames = dbms.db.buffer_pool._frames
+            assert len(frames) > 8
+            assert {type(frame.data) for frame in frames.values()} \
+                == {bytes}
 
     def test_a_resident_frame_costs_its_page_and_little_else(
             self, tmp_path):
         frames = 512
         with Pager(str(tmp_path / "mem.db"), create=True) as pager:
             pool = BufferPool(pager, capacity=frames)
-            ids = [pool.new_page()[0] for __ in range(frames)]
-            for page_id in ids:
-                pool.unpin(page_id, dirty=True)
+            ids = [pool.new_page(bytes(pager.page_size))
+                   for __ in range(frames)]
             pool.flush_and_clear()
             tracemalloc.start()
             try:
@@ -279,7 +291,8 @@ class TestFlush:
         assert pool.pager.free_head == page_id
 
     def test_free_pinned_page_rejected(self, pool):
-        page_id, __ = pool.new_page()
+        (page_id,) = fill(pool, 1)
+        pool.get_page(page_id)
         with pytest.raises(BufferPoolError):
             pool.free_page(page_id)
 
@@ -350,9 +363,7 @@ class TestStatsLocking:
         pool.stats = AssertingStats()
         armed.append(True)
         pool.begin_tracking()
-        page_id, page = pool.new_page()
-        page[0] = 7
-        pool.unpin(page_id, dirty=True)
+        pool.new_page(image(pool, 7))
         images = pool.transaction_pages()
         lsn, mods = pool.publish_commit()
         pool.complete_commit(lsn, images, mods)

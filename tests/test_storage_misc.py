@@ -1,11 +1,9 @@
-"""Record codecs, key ordering, heap files, overflow store, database
-facade."""
+"""Record codecs, key ordering, overflow store, database facade."""
 
 import pytest
 
 from repro.errors import CatalogError, StorageError
 from repro.storage.db import Database
-from repro.storage.heap import HeapFile, RecordId
 from repro.storage.overflow import OverflowStore
 from repro.storage.record import (
     KeyCodec,
@@ -78,60 +76,6 @@ class TestKeyOrdering:
         assert codec.decode(codec.encode((7, "x"))) == (7, "x")
 
 
-class TestHeapFile:
-    def test_insert_and_read(self, database):
-        heap = HeapFile.create(database.buffer_pool)
-        rid = heap.insert(b"hello")
-        assert heap.read(rid) == b"hello"
-
-    def test_scan_in_insertion_order(self, database):
-        heap = HeapFile.create(database.buffer_pool)
-        payloads = [f"record-{index}".encode() for index in range(300)]
-        for payload in payloads:
-            heap.insert(payload)
-        assert [raw for __, raw in heap.scan()] == payloads
-
-    def test_spans_multiple_pages(self, database):
-        heap = HeapFile.create(database.buffer_pool)
-        for _ in range(300):
-            heap.insert(b"x" * 100)
-        assert len(heap.page_ids()) > 1
-
-    def test_delete_removes_from_scan(self, database):
-        heap = HeapFile.create(database.buffer_pool)
-        keep = heap.insert(b"keep")
-        drop = heap.insert(b"drop")
-        heap.delete(drop)
-        assert [raw for __, raw in heap.scan()] == [b"keep"]
-        assert heap.read(keep) == b"keep"
-
-    def test_read_deleted_raises(self, database):
-        heap = HeapFile.create(database.buffer_pool)
-        rid = heap.insert(b"x")
-        heap.delete(rid)
-        with pytest.raises(StorageError):
-            heap.read(rid)
-
-    def test_bad_slot_raises(self, database):
-        heap = HeapFile.create(database.buffer_pool)
-        heap.insert(b"x")
-        with pytest.raises(StorageError):
-            heap.read(RecordId(heap.head_page_id, 99))
-
-    def test_oversized_record_rejected(self, database):
-        heap = HeapFile.create(database.buffer_pool)
-        with pytest.raises(StorageError):
-            heap.insert(b"x" * database.pager.page_size)
-
-    def test_drop_frees_pages(self, database):
-        heap = HeapFile.create(database.buffer_pool)
-        for __ in range(200):
-            heap.insert(b"y" * 100)
-        pages = heap.page_ids()
-        heap.drop()
-        assert database.pager.free_head in pages
-
-
 class TestOverflowStore:
     def test_round_trip_small(self, database):
         store = database.overflow
@@ -168,32 +112,31 @@ class TestDatabaseFacade:
         database.create_btree("t")
         with pytest.raises(CatalogError):
             database.create_btree("t")
-        with pytest.raises(CatalogError):
-            database.create_heap("t")
 
     def test_unknown_name_rejected(self, database):
         with pytest.raises(CatalogError):
             database.open_btree("nope")
-        with pytest.raises(CatalogError):
-            database.open_heap("nope")
 
     def test_wrong_kind_rejected(self, database):
-        database.create_heap("h")
+        database.put_meta("m", {"x": 1})
+        database.create_btree("t")
         with pytest.raises(CatalogError):
-            database.open_btree("h")
+            database.open_btree("m")
+        with pytest.raises(CatalogError):
+            database.get_meta("t")
 
     def test_list_names_sorted_and_live(self, database):
         database.create_btree("b")
-        database.create_heap("a")
+        database.create_btree("a")
         database.put_meta("m", {"x": 1})
         assert database.list_names() == ["a", "b", "m"]
 
     def test_drop_removes_name(self, database):
-        database.create_heap("h")
-        database.drop("h")
-        assert not database.exists("h")
+        database.put_meta("m", {"x": 1})
+        database.drop("m")
+        assert not database.exists("m")
         with pytest.raises(CatalogError):
-            database.drop("h")
+            database.drop("m")
 
     def test_meta_upsert(self, database):
         database.put_meta("m", {"v": 1})

@@ -130,7 +130,7 @@ class TestMidBatchResourceLimits:
         with pytest.raises(ResourceLimitExceeded):
             list(mat.batches(ctx, env_bindings(doc)))
         assert ctx.meter.current > 0  # cache bytes still held
-        mat.reset(doc.db)
+        mat.reset()
         assert ctx.meter.current == 0
 
     def test_materializer_spills_before_tripping_budget(self, doc):
@@ -148,11 +148,11 @@ class TestMidBatchResourceLimits:
                 for row in batch]
         assert [row[0].in_ for row in rows] == [1, 2, 3, 4, 5, 8, 9,
                                                 13, 14]
-        # Replay comes off the spill heap, same rows.
+        # Replay comes off the spill file, same rows.
         replay = [row for batch in mat.batches(ctx, env_bindings(doc))
                   for row in batch]
         assert replay == rows
-        mat.reset(doc.db)
+        mat.reset()
 
 
 QUERY_MANY = "for $x in //* return <t/>"
